@@ -537,11 +537,36 @@ std::string Emitter::run(const ir::NodePtr& iet) {
           "                 long inf_count, double min, double max,\n"
           "                 double l2sq);\n"
           "} jitfd_halo_ops;\n\n";
+  // Subnormal flushing: every thread of the kernel's OpenMP team (just
+  // the calling thread when built without -fopenmp) runs it with MXCSR
+  // FTZ|DAZ (0x8040) and gets its own MXCSR back at the epilogue. The
+  // saved value is per thread; bit 31 (reserved in MXCSR) marks it live,
+  // so a thread that joins only the epilogue team is left alone and a
+  // save orphaned by a callback that threw is restored by the next call.
+  // The builtins are what _mm_getcsr/_mm_setcsr expand to; calling them
+  // directly spares every kernel's cc the <xmmintrin.h> parse.
+  const bool flush = opts_->lang == ir::Lang::OpenMP;
+  if (flush) {
+    out_ << "#if defined(__SSE__)\n"
+            "static _Thread_local unsigned int jitfd_saved_csr;\n"
+            "#endif\n\n";
+  }
   out_ << "int " << kKernelSymbol
        << "(float** restrict fields, const double* restrict scalars,\n"
           "           long time_m, long time_M, void* hctx,\n"
           "           const jitfd_halo_ops* ops)\n{\n";
   indent_ = 1;
+  if (flush) {
+    out_ << "#if defined(__SSE__)\n";
+    line("#pragma omp parallel");
+    line("{");
+    line("  if (jitfd_saved_csr == 0) {");
+    line("    jitfd_saved_csr = __builtin_ia32_stmxcsr() | 0x80000000u;");
+    line("  }");
+    line("  __builtin_ia32_ldmxcsr(__builtin_ia32_stmxcsr() | 0x8040u);");
+    line("}");
+    out_ << "#endif\n";
+  }
 
   // Field pointer casts with baked padded shapes (the VLA-pointer idiom of
   // the paper's Listing 11 context).
@@ -735,6 +760,17 @@ std::string Emitter::run(const ir::NodePtr& iet) {
     line("}");
   }
 
+  if (flush) {
+    out_ << "#if defined(__SSE__)\n";
+    line("#pragma omp parallel");
+    line("{");
+    line("  if (jitfd_saved_csr != 0) {");
+    line("    __builtin_ia32_ldmxcsr(jitfd_saved_csr & 0xffffu);");
+    line("    jitfd_saved_csr = 0;");
+    line("  }");
+    line("}");
+    out_ << "#endif\n";
+  }
   out_ << "  return 0;\n}\n";
   return out_.str();
 }

@@ -15,6 +15,10 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
+
 #include "codegen/emit.h"
 #include "codegen/sha256.h"
 #include "core/env.h"
@@ -157,6 +161,25 @@ void compile(const std::string& source, const std::string& compiler,
   fs::rename(build_path, so_path);
 }
 
+/// Restores the calling thread's MXCSR on every exit from a kernel call,
+/// including an exception thrown by a halo, sparse or health callback
+/// through the generated C frames, which skips the kernel's epilogue.
+/// FTZ|DAZ are set by the kernel's prologue, on every team thread this
+/// one included: setting them here first would make the threads OpenMP
+/// creates inside the call inherit the flushed mode as their own.
+class RestoreFpMode {
+ public:
+#if defined(__SSE__)
+  RestoreFpMode() : saved_(_mm_getcsr()) {}
+  ~RestoreFpMode() { _mm_setcsr(saved_); }
+  RestoreFpMode(const RestoreFpMode&) = delete;
+  RestoreFpMode& operator=(const RestoreFpMode&) = delete;
+
+ private:
+  unsigned int saved_;
+#endif
+};
+
 }  // namespace
 
 JitKernel::JitKernel(const std::string& source, bool openmp) {
@@ -240,6 +263,7 @@ std::uint64_t JitKernel::cache_misses() {
 int JitKernel::run(float** fields, const double* scalars, std::int64_t time_m,
                    std::int64_t time_M, void* hctx,
                    const JitHaloOps* ops) const {
+  [[maybe_unused]] const RestoreFpMode restore;
   return fn_(fields, scalars, static_cast<long>(time_m),
              static_cast<long>(time_M), hctx, ops);
 }

@@ -51,7 +51,10 @@ class JitKernel {
   JitKernel(const JitKernel&) = delete;
   JitKernel& operator=(const JitKernel&) = delete;
 
-  /// Invoke the kernel.
+  /// Invoke the kernel. A kernel emitted for Lang::OpenMP flushes
+  /// subnormals to zero (MXCSR FTZ|DAZ on x86) on every thread that runs
+  /// it and hands each its mode back when it returns; the caller's mode
+  /// is also restored when a callback throws out of the kernel.
   int run(float** fields, const double* scalars, std::int64_t time_m,
           std::int64_t time_M, void* hctx, const JitHaloOps* ops) const;
 

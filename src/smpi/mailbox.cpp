@@ -64,7 +64,6 @@ void Mailbox::deliver(int source, int tag, Channel channel, const void* data,
       }
       unexpected_.push_back(std::move(msg));
       counters_->queued.fetch_add(1, std::memory_order_relaxed);
-      counters_->payload_copies.fetch_add(1, std::memory_order_relaxed);
       counters_->bytes_delivered.fetch_add(bytes, std::memory_order_relaxed);
       jitfd::obs::instant("msg.queued", jitfd::obs::Cat::Msg,
                           static_cast<std::int64_t>(bytes), source);
@@ -81,7 +80,6 @@ void Mailbox::deliver(int source, int tag, Channel channel, const void* data,
   // its completion exclusively.
   fulfil(*match, source, tag, data, bytes);
   counters_->rendezvous.fetch_add(1, std::memory_order_relaxed);
-  counters_->payload_copies.fetch_add(1, std::memory_order_relaxed);
   counters_->bytes_delivered.fetch_add(bytes, std::memory_order_relaxed);
   jitfd::obs::instant("msg.rendezvous", jitfd::obs::Cat::Msg,
                       static_cast<std::int64_t>(bytes), source);
@@ -109,7 +107,7 @@ void Mailbox::post_recv(const std::shared_ptr<OpState>& op) {
   // Second (and last) copy of an unexpected message, then recycle its
   // payload.
   fulfil(*op, msg.source, msg.tag, msg.payload.data.get(), msg.payload.size);
-  counters_->payload_copies.fetch_add(1, std::memory_order_relaxed);
+  counters_->second_copies.fetch_add(1, std::memory_order_relaxed);
   pool_->release(std::move(msg.payload));
 }
 

@@ -217,7 +217,7 @@ class ProcTransport final : public Transport, public OpState::Progressor {
       unexpected_.erase(it);
       fulfil(*op, msg.source, msg.tag, msg.payload.data.get(),
              msg.payload.size);
-      seg_->counters.payload_copies.fetch_add(1, std::memory_order_relaxed);
+      seg_->counters.second_copies.fetch_add(1, std::memory_order_relaxed);
       pool_.release(std::move(msg.payload));
       return op;
     }
@@ -320,7 +320,6 @@ class ProcTransport final : public Transport, public OpState::Progressor {
 
   void count_rendezvous(int source, std::size_t bytes) {
     seg_->counters.rendezvous.fetch_add(1, std::memory_order_relaxed);
-    seg_->counters.payload_copies.fetch_add(1, std::memory_order_relaxed);
     seg_->counters.bytes_delivered.fetch_add(bytes,
                                              std::memory_order_relaxed);
     jitfd::obs::instant("msg.rendezvous", jitfd::obs::Cat::Msg,
@@ -332,7 +331,6 @@ class ProcTransport final : public Transport, public OpState::Progressor {
 
   void count_queued(int source, std::size_t bytes) {
     seg_->counters.queued.fetch_add(1, std::memory_order_relaxed);
-    seg_->counters.payload_copies.fetch_add(1, std::memory_order_relaxed);
     seg_->counters.bytes_delivered.fetch_add(bytes,
                                              std::memory_order_relaxed);
     jitfd::obs::instant("msg.queued", jitfd::obs::Cat::Msg,
@@ -458,7 +456,7 @@ class ProcTransport final : public Transport, public OpState::Progressor {
     // that post would have matched it already.
     if (auto op = take_posted(src, st.hdr.tag, channel)) {
       fulfil(*op, src, st.hdr.tag, st.payload.data.get(), bytes);
-      seg_->counters.payload_copies.fetch_add(1, std::memory_order_relaxed);
+      seg_->counters.second_copies.fetch_add(1, std::memory_order_relaxed);
       pool_.release(std::move(st.payload));
       return;
     }

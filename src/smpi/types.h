@@ -44,24 +44,34 @@ struct Status {
 };
 
 /// Transport-level delivery counters, shared by every mailbox of a World.
-/// `rendezvous` deliveries copy the sender's span straight into a posted
-/// receive buffer (one payload copy); `queued` deliveries materialize a
-/// pooled payload first and pay a second copy when later matched, so
-/// payload_copies / (rendezvous + queued) is the mean copies per message
-/// — exactly 1.0 when every receive is pre-posted.
+/// A delivery is one increment that counts the message together with its
+/// first payload copy. `rendezvous` deliveries copy the sender's span
+/// straight into a posted receive buffer (the only copy); `queued`
+/// deliveries materialize a pooled payload first and pay a
+/// `second_copies` copy when a receive later matches them. A snapshot
+/// taken while other ranks deliver therefore never sees a message
+/// without its copy: copies_per_message() is exactly 1.0 whenever every
+/// receive is pre-posted.
 struct TransportCounters {
   std::atomic<std::uint64_t> rendezvous{0};
   std::atomic<std::uint64_t> queued{0};
-  std::atomic<std::uint64_t> payload_copies{0};
+  std::atomic<std::uint64_t> second_copies{0};
   std::atomic<std::uint64_t> bytes_delivered{0};
 
+  std::uint64_t messages() const {
+    return rendezvous.load(std::memory_order_relaxed) +
+           queued.load(std::memory_order_relaxed);
+  }
+  std::uint64_t payload_copies() const {
+    return second_copies.load(std::memory_order_relaxed) + messages();
+  }
   double copies_per_message() const {
-    const std::uint64_t n = rendezvous.load(std::memory_order_relaxed) +
-                            queued.load(std::memory_order_relaxed);
+    // Second copies first: each follows its message's delivery, so the
+    // later message count already includes it.
+    const std::uint64_t second = second_copies.load(std::memory_order_relaxed);
+    const std::uint64_t n = messages();
     return n == 0 ? 0.0
-                  : static_cast<double>(
-                        payload_copies.load(std::memory_order_relaxed)) /
-                        static_cast<double>(n);
+                  : static_cast<double>(n + second) / static_cast<double>(n);
   }
 };
 

@@ -1,19 +1,32 @@
 // Code-generation tests: structure of the emitted C (the paper's
-// Listing 11 analogue), OpenACC variant, and JIT-vs-interpreter
-// functional equivalence.
+// Listing 11 analogue), OpenACC variant, JIT-vs-interpreter functional
+// equivalence, and the floating-point mode of generated kernels.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <thread>
 
 #include "codegen/jit.h"
 #include "core/operator.h"
 #include "grid/function.h"
 #include "models/tti.h"
+#include "obs/flight.h"
+#include "obs/health.h"
 #include "smpi/runtime.h"
 #include "symbolic/fd_ops.h"
 #include "symbolic/manip.h"
@@ -296,14 +309,16 @@ TEST(Codegen, ThreeDimensionalEmissionIndexesAllDims) {
 }
 
 TEST(Codegen, EnvVarSelectsPattern) {
+  // Set once around the run: a rank that unset it could race another
+  // rank's read.
+  ::setenv("JITFD_MPI", "diag", 1);
   smpi::run(2, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
-    ::setenv("JITFD_MPI", "diag", 1);
     Operator op = diffusion_operator(g, u);  // Mode None requested.
-    ::unsetenv("JITFD_MPI");
     EXPECT_EQ(op.options().mode, ir::MpiMode::Diagonal);
   });
+  ::unsetenv("JITFD_MPI");
   EXPECT_EQ(ir::mode_from_string("full"), ir::MpiMode::Full);
   EXPECT_EQ(ir::mode_from_string("1"), ir::MpiMode::Basic);
   EXPECT_THROW(ir::mode_from_string("bogus"), std::invalid_argument);
@@ -490,5 +505,192 @@ TEST(CodegenJit, IdenticalOperatorsShareOneCompile) {
   // At most one external-compiler invocation for the pair.
   EXPECT_LE(jitfd::codegen::JitKernel::cache_misses(), misses_before + 1);
 }
+
+// --- Floating-point mode of generated kernels -----------------------------
+//
+// JIT kernels run with MXCSR FTZ|DAZ on every thread that executes them
+// and hand each thread its own mode back; the interpreter stays IEEE.
+
+TEST(FpMode, OpenMpKernelEmitsGuardedFlushAndRestoreOpenAccDoesNot) {
+  const Grid g({8, 8, 8}, {1.0, 1.0, 1.0});
+  TimeFunction u("u", g, 2, 1);
+  const std::string code = diffusion_operator(g, u).ccode();
+  const std::size_t guard = code.find(
+      "#if defined(__SSE__)\nstatic _Thread_local unsigned int "
+      "jitfd_saved_csr;");
+  const std::size_t body = code.find("for (long time = time_m;");
+  const std::size_t prologue = code.find(
+      "__builtin_ia32_ldmxcsr(__builtin_ia32_stmxcsr() | 0x8040u);");
+  const std::size_t epilogue =
+      code.find("__builtin_ia32_ldmxcsr(jitfd_saved_csr & 0xffffu);");
+  const std::size_t ret = code.find("return 0;");
+  ASSERT_NE(guard, std::string::npos) << code;
+  ASSERT_NE(prologue, std::string::npos) << code;
+  ASSERT_NE(epilogue, std::string::npos) << code;
+  // Prologue before the time loop, epilogue after it and before the one
+  // return; each is a team-wide parallel region behind the SSE guard.
+  EXPECT_LT(prologue, body);
+  EXPECT_LT(body, epilogue);
+  EXPECT_LT(epilogue, ret);
+  EXPECT_EQ(code.find("return"), code.rfind("return")) << code;
+  EXPECT_NE(code.find("#if defined(__SSE__)\n  #pragma omp parallel\n"),
+            std::string::npos)
+      << code;
+
+  ir::CompileOptions acc;
+  acc.lang = ir::Lang::OpenAcc;
+  const std::string acc_code = diffusion_operator(g, u, acc).ccode();
+  EXPECT_EQ(acc_code.find("mxcsr"), std::string::npos) << acc_code;
+  EXPECT_EQ(acc_code.find("__SSE__"), std::string::npos) << acc_code;
+}
+
+#if defined(__SSE__)
+
+TEST(FpMode, EveryTeamThreadFlushesWhileTheInterpreterStaysIeee) {
+  if (!have_cc()) {
+    GTEST_SKIP() << "no C compiler available";
+  }
+#ifdef _OPENMP
+  const int threads_before = omp_get_max_threads();
+  omp_set_num_threads(4);
+  const auto flushing_threads = [] {
+    int n = 0;
+#pragma omp parallel reduction(+ : n)
+    n += (_mm_getcsr() & 0x8040U) != 0 ? 1 : 0;
+    return n;
+  };
+  // Also starts this thread's team outside any kernel.
+  ASSERT_EQ(flushing_threads(), 0);
+#endif
+  // One step scales every point from FLT_MIN (the smallest normal float)
+  // to FLT_MIN / 4: exact, and subnormal, under IEEE gradual underflow.
+  const std::int64_t n = 8;
+  const auto step = [&](Operator::Backend backend, ir::CompileOptions opts) {
+    const Grid g({n, n, n}, {1.0, 1.0, 1.0});
+    TimeFunction u("u", g, 2, 1);
+    u.fill(std::numeric_limits<float>::min());
+    Operator op({ir::Eq(u.forward(), sym::Ex(0.25) * u.now())}, opts);
+    op.set_default_backend(backend);
+    (void)op.apply({.time_m = 0, .time_M = 0});
+    return u.gather(1);
+  };
+  ir::CompileOptions serial;
+  serial.openmp = false;  // No team: the calling thread runs every row.
+  const auto interp = step(Operator::Backend::Interpret, {});
+  const auto team = step(Operator::Backend::Jit, {});
+  const auto alone = step(Operator::Backend::Jit, serial);
+#ifdef _OPENMP
+  // The epilogue handed every team thread its IEEE mode back.
+  EXPECT_EQ(flushing_threads(), 0);
+  // A new thread's first team starts inside the kernel call, so its
+  // threads are created there, with the mode of the thread that forks.
+  std::thread([&] {
+    omp_set_num_threads(4);
+    (void)step(Operator::Backend::Jit, {});
+    EXPECT_EQ(flushing_threads(), 0);
+  }).join();
+  omp_set_num_threads(threads_before);
+#endif
+  ASSERT_EQ(interp.size(), static_cast<std::size_t>(n * n * n));
+  for (const auto* jit : {&team, &alone}) {
+    ASSERT_EQ(jit->size(), interp.size());
+    const char* run = jit == &team ? "team" : "serial";
+    // Census per (x, y) row: the x loop is split statically across the
+    // team, so a thread that did not flush leaves whole rows subnormal.
+    for (std::int64_t row = 0; row < n * n; ++row) {
+      int jit_subnormal = 0;
+      int interp_subnormal = 0;
+      for (std::int64_t z = 0; z < n; ++z) {
+        const auto i = static_cast<std::size_t>(row * n + z);
+        jit_subnormal += std::fpclassify((*jit)[i]) == FP_SUBNORMAL ? 1 : 0;
+        interp_subnormal +=
+            std::fpclassify(interp[i]) == FP_SUBNORMAL ? 1 : 0;
+        ASSERT_NEAR(interp[i], (*jit)[i], 1e-6) << run << " at " << i;
+      }
+      EXPECT_EQ(jit_subnormal, 0)
+          << run << " x=" << row / n << " y=" << row % n;
+      EXPECT_EQ(interp_subnormal, n) << "x=" << row / n << " y=" << row % n;
+    }
+  }
+}
+
+// All six sticky exception flags are pre-set in the caller's MXCSR, so
+// host arithmetic around the kernel cannot change them and the
+// before/after comparison can be bit-exact.
+constexpr unsigned int kStickyFlags = 0x3FU;
+
+TEST(FpMode, CallerMxcsrIsRestoredAfterApply) {
+  if (!have_cc()) {
+    GTEST_SKIP() << "no C compiler available";
+  }
+  const unsigned int original = _mm_getcsr();
+  // An IEEE caller, and one that already had DAZ (but not FTZ) on.
+  for (const unsigned int extra : {0x0U, 0x0040U}) {
+    const unsigned int before = original | kStickyFlags | extra;
+    _mm_setcsr(before);
+    const Grid g({8, 8, 8}, {1.0, 1.0, 1.0});
+    TimeFunction u("u", g, 2, 1);
+    u.fill(1.0F);
+    Operator op = diffusion_operator(g, u);
+    (void)op.apply({.time_m = 0,
+                    .time_M = 1,
+                    .scalars = {{"dt", 1e-3}},
+                    .backend = Operator::Backend::Jit});
+    EXPECT_EQ(_mm_getcsr(), before) << std::hex << "caller extra " << extra;
+    _mm_setcsr(original);
+  }
+}
+
+TEST(FpMode, CallerMxcsrIsRestoredAfterAThrowOutOfTheKernel) {
+  if (!have_cc()) {
+    GTEST_SKIP() << "no C compiler available";
+  }
+#ifdef JITFD_OBS_DISABLED
+  GTEST_SKIP() << "built with JITFD_OBS=OFF: no health abort to throw";
+#endif
+  // The Health.AbortDumpThrowsOnEveryRankAndWritesValidBundle set-up on
+  // the JIT: a seeded NaN makes the health callback throw
+  // DivergenceError out through the generated C on every rank.
+  char dir_template[] = "/tmp/jitfd_fpmode_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string dir(dir_template);
+  ::setenv("JITFD_FLIGHT_DIR", dir.c_str(), 1);
+  jitfd::obs::flight::reset_for_testing();
+  namespace health = jitfd::obs::health;
+  try {
+    smpi::run(4, [&](smpi::Communicator& comm) {
+      const Grid g({16, 16}, {1.0, 1.0}, comm);
+      TimeFunction u("u", g, 2, 1);
+      u.fill(1.0F);
+      const std::vector<std::int64_t> seed{12, 12};
+      (void)u.set_global(0, seed, std::numeric_limits<float>::quiet_NaN());
+      ir::CompileOptions opts;
+      opts.mode = ir::MpiMode::Basic;
+      Operator op = diffusion_operator(g, u, opts);
+      const unsigned int before = _mm_getcsr() | kStickyFlags;
+      _mm_setcsr(before);
+      try {
+        (void)op.apply({.time_m = 0,
+                        .time_M = 3,
+                        .scalars = {{"dt", 1e-3}},
+                        .backend = Operator::Backend::Jit,
+                        .health_interval = 1,
+                        .on_nan = health::OnNan::AbortDump});
+        ADD_FAILURE() << "apply() should have thrown";
+      } catch (...) {
+        EXPECT_EQ(_mm_getcsr(), before) << "rank " << comm.rank();
+        throw;
+      }
+    });
+    ADD_FAILURE() << "smpi::run should have rethrown DivergenceError";
+  } catch (const health::DivergenceError& e) {
+    std::remove(e.dump_path().c_str());
+  }
+  ::unsetenv("JITFD_FLIGHT_DIR");
+  ::rmdir(dir.c_str());
+  jitfd::obs::flight::reset_for_testing();
+}
+
+#endif  // __SSE__
 
 }  // namespace

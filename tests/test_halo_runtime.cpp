@@ -293,7 +293,7 @@ TEST_P(HaloZeroCopy, PostFenceMakesEveryDeliveryRendezvous) {
     if (comm.rank() == 0) {
       r0 = tc.rendezvous.load();
       q0 = tc.queued.load();
-      c0 = tc.payload_copies.load();
+      c0 = tc.payload_copies();
     }
     comm.barrier();
 
@@ -317,8 +317,8 @@ TEST_P(HaloZeroCopy, PostFenceMakesEveryDeliveryRendezvous) {
     if (comm.rank() == 0) {
       const std::uint64_t sent = tc.rendezvous.load() - r0;
       EXPECT_GT(sent, 0U);
-      EXPECT_EQ(tc.queued.load() - q0, 0U);          // Nothing unexpected.
-      EXPECT_EQ(tc.payload_copies.load() - c0, sent);  // One copy each.
+      EXPECT_EQ(tc.queued.load() - q0, 0U);       // Nothing unexpected.
+      EXPECT_EQ(tc.payload_copies() - c0, sent);  // One copy each.
       const auto pool_after = comm.world().pool().stats();
       EXPECT_EQ(pool_after.hits, pool_before.hits);
       EXPECT_EQ(pool_after.misses, pool_before.misses);

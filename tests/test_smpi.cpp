@@ -402,7 +402,7 @@ TEST(SmpiTransport, PrePostedReceiveIsSingleCopyRendezvous) {
     std::vector<float> payload(1024, 2.5F);
     std::vector<float> sink(1024, 0.0F);
     const std::uint64_t r0 = tc.rendezvous.load();
-    const std::uint64_t c0 = tc.payload_copies.load();
+    const std::uint64_t c0 = tc.payload_copies();
     const std::uint64_t q0 = tc.queued.load();
 
     Request rx;
@@ -424,7 +424,7 @@ TEST(SmpiTransport, PrePostedReceiveIsSingleCopyRendezvous) {
     if (comm.rank() == 0) {
       EXPECT_EQ(tc.rendezvous.load() - r0, 1U);
       EXPECT_EQ(tc.queued.load() - q0, 0U);
-      EXPECT_EQ(tc.payload_copies.load() - c0, 1U);  // Exactly one copy.
+      EXPECT_EQ(tc.payload_copies() - c0, 1U);  // Exactly one copy.
     }
   });
 }
@@ -438,7 +438,7 @@ TEST(SmpiTransport, UnexpectedMessageIsPooledTwoCopy) {
     const auto& tc = comm.world().transport();
     const smpi::BufferPool& pool = comm.world().pool();
     const std::uint64_t q0 = tc.queued.load();
-    const std::uint64_t c0 = tc.payload_copies.load();
+    const std::uint64_t c0 = tc.payload_copies();
     const std::uint64_t miss0 = pool.stats().misses;
     const std::uint64_t hit0 = pool.stats().hits;
 
@@ -462,7 +462,7 @@ TEST(SmpiTransport, UnexpectedMessageIsPooledTwoCopy) {
       // misses exactly once (warmup) then hits — zero steady-state
       // allocations.
       EXPECT_EQ(tc.queued.load() - q0, static_cast<std::uint64_t>(kRounds));
-      EXPECT_EQ(tc.payload_copies.load() - c0,
+      EXPECT_EQ(tc.payload_copies() - c0,
                 static_cast<std::uint64_t>(2 * kRounds));
       EXPECT_EQ(pool.stats().misses - miss0, 1U);
       EXPECT_EQ(pool.stats().hits - hit0,
