@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json.h"
 #include "perfmodel/paper_data.h"
 #include "perfmodel/scaling.h"
 
@@ -98,12 +99,6 @@ inline double spread_pct_of(const std::vector<double>& v) {
   return 100.0 * (*hi - *lo) / med;
 }
 
-inline void json_number(std::ostringstream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  os << buf;
-}
-
 /// Machine-readable report for a measured benchmark: median-of-N wall
 /// time + spread per series, the machine fields needed to interpret the
 /// numbers, and free-form string metadata. This is the shared emitter
@@ -113,50 +108,38 @@ inline std::string series_json(
     const std::vector<MeasuredSeries>& rows,
     const std::vector<std::pair<std::string, std::string>>& meta = {}) {
   std::ostringstream os;
-  os << "{\n";
-  os << "  \"benchmark\": \"" << benchmark << "\",\n";
-  os << "  \"description\": \"" << description << "\",\n";
-  os << "  \"machine\": {\n";
-  os << "    \"threads_available\": " << std::thread::hardware_concurrency()
-     << ",\n";
+  // Six significant digits: committed baselines gate counters exactly.
+  jitfd::obs::json::Writer w(os, jitfd::obs::json::NonFinite::Zero, 3, 6);
+  w.begin_object().field("benchmark", benchmark);
+  w.field("description", description).key("machine").begin_object();
+  w.field("threads_available", std::thread::hardware_concurrency());
 #if defined(__VERSION__)
-  os << "    \"compiler\": \"" << __VERSION__ << "\",\n";
+  w.field("compiler", __VERSION__);
 #endif
-  os << "    \"pointer_bits\": " << 8 * sizeof(void*) << "\n";
-  os << "  },\n";
+  w.field("pointer_bits", 8 * sizeof(void*)).end_object();
   for (const auto& [key, value] : meta) {
-    os << "  \"" << key << "\": \"" << value << "\",\n";
+    w.field(key, value);
   }
-  os << "  \"series\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const MeasuredSeries& s = rows[i];
-    os << "    {\n";
-    os << "      \"name\": \"" << s.name << "\",\n";
-    os << "      \"repetitions\": " << s.seconds.size() << ",\n";
-    os << "      \"median_seconds\": ";
-    json_number(os, median_of(s.seconds));
-    os << ",\n      \"spread_pct\": ";
-    json_number(os, spread_pct_of(s.seconds));
+  w.key("series").begin_array();
+  for (const MeasuredSeries& s : rows) {
+    w.begin_object().field("name", s.name);
+    w.field("repetitions", s.seconds.size());
+    w.field("median_seconds", median_of(s.seconds));
+    w.field("spread_pct", spread_pct_of(s.seconds));
     for (const auto& [key, value] : s.counters) {
-      os << ",\n      \"" << key << "\": ";
-      json_number(os, value);
+      w.field(key, value);
     }
     if (!s.drift.empty()) {
-      os << ",\n      \"drift\": {";
-      bool first = true;
+      w.key("drift").begin_object();
       for (const auto& [metric, gate] : s.drift) {
-        os << (first ? "" : ", ") << "\"" << metric << "\": {\"value\": ";
-        json_number(os, gate.first);
-        os << ", \"band\": ";
-        json_number(os, gate.second);
-        os << "}";
-        first = false;
+        w.key(metric).begin_object().field("value", gate.first);
+        w.field("band", gate.second).end_object();
       }
-      os << "}";
+      w.end_object();
     }
-    os << "\n    }" << (i + 1 < rows.size() ? "," : "") << "\n";
+    w.end_object();
   }
-  os << "  ]\n}\n";
+  w.end_array().end_object();
   return os.str();
 }
 

@@ -22,7 +22,7 @@
 
 #include "core/operator.h"
 #include "grid/function.h"
-#include "obs/events.h"
+#include "obs/trace.h"
 #include "smpi/runtime.h"
 #include "sparse/sparse_function.h"
 #include "symbolic/manip.h"
@@ -164,10 +164,8 @@ void run(const Grid& grid, int rank) {
       // rank computes the same value from the assembled data; rank 0
       // reports, mirroring the health monitor's convention.
       if (rank == 0) {
-        jitfd::obs::events::emit(
-            "fwi.residual", jitfd::obs::events::EvCat::Solver, s,
-            {{"t_fwd", static_cast<double>(t_fwd)},
-             {"norm", std::sqrt(resid_sq)}});
+        jitfd::obs::instant("fwi.residual", jitfd::obs::Cat::Solver, s,
+                            {{"t_fwd", t_fwd}, {"norm", std::sqrt(resid_sq)}});
       }
 
       // Imaging condition: grad += v(s) * d2u/dt2 (t_fwd), correlating
@@ -197,8 +195,8 @@ void run(const Grid& grid, int rank) {
     }
   }
   if (rank == 0) {
-    jitfd::obs::events::emit("fwi.misfit", jitfd::obs::events::EvCat::Solver,
-                             kSteps, {{"misfit", misfit}});
+    jitfd::obs::instant("fwi.misfit", jitfd::obs::Cat::Solver, kSteps,
+                        {{"misfit", misfit}});
     std::printf("FWI gradient, one shot: %lldx%lld grid, %d steps, "
                 "24 receivers\n",
                 static_cast<long long>(kN), static_cast<long long>(kN),
@@ -249,7 +247,7 @@ void run(const Grid& grid, int rank) {
 int main(int argc, char** argv) {
   const int nranks = argc > 1 ? std::atoi(argv[1]) : 0;
   if (nranks > 1) {
-    smpi::run(nranks, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = nranks}, [&](smpi::Communicator& comm) {
       const Grid grid({kN, kN}, {kExtent, kExtent}, comm);
       run(grid, comm.rank());
     });

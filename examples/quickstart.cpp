@@ -51,7 +51,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <span>
 #include <string>
 #include <vector>
@@ -63,6 +62,7 @@
 #include "obs/analysis.h"
 #include "obs/flight.h"
 #include "obs/health.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -439,9 +439,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (!analysis_path.empty()) {
-      std::ofstream out(analysis_path, std::ios::binary);
-      out << obs::analysis_json(run.trace.analysis());
-      if (!out) {
+      if (!obs::json::write_file(analysis_path,
+                                 obs::analysis_json(run.trace.analysis()))) {
         std::fprintf(stderr, "cannot write %s\n", analysis_path.c_str());
         return 1;
       }
@@ -450,9 +449,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path, std::ios::binary);
-    out << obs::metrics::to_json();
-    if (!out) {
+    if (!obs::json::write_file(metrics_path, obs::metrics::to_json())) {
       std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
       return 1;
     }

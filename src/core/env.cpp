@@ -25,10 +25,6 @@ const Var kVars[] = {
      "by JITFD_DELAY_US microseconds (wait-state analyzer tests)"},
     {"JITFD_DELAY_US", "int", "unset",
      "Per-step compute padding in microseconds on JITFD_DELAY_RANK"},
-    {"JITFD_EVENTS", "bool", "0",
-     "Enable the structured event log (obs/events) from process start"},
-    {"JITFD_EVENTS_RING", "int", "1024",
-     "Event-log ring capacity (events per thread, rounded to power of 2)"},
     {"JITFD_EXCHANGE_DEPTH", "int", "1",
      "Default halo capacity / deep-halo exchange depth k for Functions "
      "constructed afterwards (see Function::set_default_exchange_depth)"},
@@ -58,9 +54,10 @@ const Var kVars[] = {
      "Extra time buffers beyond time_order+1 for unsaved TimeFunctions "
      "(time-tiling feasibility; see Function::set_default_time_slack)"},
     {"JITFD_TRACE", "bool", "0",
-     "Enable per-rank span tracing (obs/trace) from process start"},
+     "Enable per-rank tracing (obs/trace: spans and structured kv-instant "
+     "events) from process start"},
     {"JITFD_TRACE_RING", "int", "65536",
-     "Trace ring capacity (events per thread, rounded to power of 2)"},
+     "Trace ring capacity (slots per thread, rounded to power of 2)"},
     {"JITFD_TRANSPORT", "enum(threads|process_shm)", "threads",
      "Rank realization for smpi::launch calls that leave "
      "LaunchOptions::transport unset: rank threads in one address space, "

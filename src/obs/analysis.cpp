@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <sstream>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 
@@ -253,112 +253,57 @@ AnalysisReport analyze(const TraceData& data) {
   return rep;
 }
 
-namespace {
-
-void put(std::ostringstream& os, double v) {
-  if (!std::isfinite(v)) {
-    v = 0.0;
-  }
-  std::ostringstream tmp;
-  tmp.precision(9);
-  tmp << v;
-  os << tmp.str();
-}
-
-}  // namespace
-
 std::string analysis_json(const AnalysisReport& r) {
   std::ostringstream os;
-  os << "{\n\"analysis\": {\n";
-  os << "  \"nranks\": " << r.nranks << ",\n";
-  os << "  \"steps\": " << r.steps << ",\n";
-  os << "  \"strips\": " << r.strips << ",\n";
-  os << "  \"exchange_depth\": " << r.exchange_depth << ",\n";
-  os << "  \"wall_seconds\": ";
-  put(os, r.wall_s);
-  os << ",\n  \"wait\": {\n";
-  os << "    \"late_sender_seconds\": ";
-  put(os, r.late_sender_s);
-  os << ",\n    \"late_receiver_seconds\": ";
-  put(os, r.late_receiver_s);
-  os << ",\n    \"transfer_seconds\": ";
-  put(os, r.transfer_s);
-  os << ",\n    \"matched\": " << r.matched_waits;
-  os << ",\n    \"unmatched\": " << r.unmatched_waits;
-  os << ",\n    \"culprit_rank\": " << r.late_sender_culprit;
-  os << ",\n    \"rendezvous_messages\": " << r.rendezvous_msgs;
-  os << ",\n    \"queued_messages\": " << r.queued_msgs;
-  os << ",\n    \"ranks\": [";
-  bool first = true;
-  for (const RankWaitStats& w : r.rank_waits) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "      {\"rank\": " << w.rank << ", \"wait_seconds\": ";
-    put(os, w.wait_s);
-    os << ", \"late_sender_seconds\": ";
-    put(os, w.late_sender_s);
-    os << ", \"late_receiver_seconds\": ";
-    put(os, w.late_receiver_s);
-    os << ", \"blamed_seconds\": ";
-    put(os, w.blamed_s);
-    os << "}";
+  json::Writer w(os, json::NonFinite::Zero, 4);
+  w.begin_object().key("analysis").begin_object();
+  w.field("nranks", r.nranks).field("steps", r.steps);
+  w.field("strips", r.strips).field("exchange_depth", r.exchange_depth);
+  w.field("wall_seconds", r.wall_s);
+  w.key("wait").begin_object();
+  w.field("late_sender_seconds", r.late_sender_s);
+  w.field("late_receiver_seconds", r.late_receiver_s);
+  w.field("transfer_seconds", r.transfer_s);
+  w.field("matched", r.matched_waits).field("unmatched", r.unmatched_waits);
+  w.field("culprit_rank", r.late_sender_culprit);
+  w.field("rendezvous_messages", r.rendezvous_msgs);
+  w.field("queued_messages", r.queued_msgs);
+  w.key("ranks").begin_array();
+  for (const RankWaitStats& rw : r.rank_waits) {
+    w.begin_object().field("rank", rw.rank).field("wait_seconds", rw.wait_s);
+    w.field("late_sender_seconds", rw.late_sender_s);
+    w.field("late_receiver_seconds", rw.late_receiver_s);
+    w.field("blamed_seconds", rw.blamed_s).end_object();
   }
-  os << "\n    ]\n  },\n";
-  os << "  \"overlap\": {\n";
-  os << "    \"async_exchanges\": " << r.async_exchanges;
-  os << ",\n    \"window_seconds\": ";
-  put(os, r.overlap_window_s);
-  os << ",\n    \"hidden_seconds\": ";
-  put(os, r.overlap_hidden_s);
-  os << ",\n    \"efficiency\": ";
-  put(os, r.overlap_efficiency);
-  os << "\n  },\n";
-  os << "  \"imbalance\": {\n";
-  os << "    \"max_compute_seconds\": ";
-  put(os, r.max_compute_s);
-  os << ",\n    \"mean_compute_seconds\": ";
-  put(os, r.mean_compute_s);
-  os << ",\n    \"ratio\": ";
-  put(os, r.imbalance_ratio);
-  os << ",\n    \"critical_rank\": " << r.critical_path_rank;
-  os << ",\n    \"ranks\": [";
-  first = true;
+  w.end_array().end_object();
+  w.key("overlap").begin_object();
+  w.field("async_exchanges", r.async_exchanges);
+  w.field("window_seconds", r.overlap_window_s);
+  w.field("hidden_seconds", r.overlap_hidden_s);
+  w.field("efficiency", r.overlap_efficiency).end_object();
+  w.key("imbalance").begin_object();
+  w.field("max_compute_seconds", r.max_compute_s);
+  w.field("mean_compute_seconds", r.mean_compute_s);
+  w.field("ratio", r.imbalance_ratio);
+  w.field("critical_rank", r.critical_path_rank);
+  w.key("ranks").begin_array();
   for (const RankLoad& rl : r.rank_loads) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "      {\"rank\": " << rl.rank << ", \"compute_seconds\": ";
-    put(os, rl.compute_s);
-    os << "}";
+    w.begin_object().field("rank", rl.rank);
+    w.field("compute_seconds", rl.compute_s).end_object();
   }
-  os << "\n    ],\n    \"steps\": [";
-  first = true;
+  w.end_array().key("steps").begin_array();
   for (const StepLoad& sl : r.step_loads) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "      {\"step\": " << sl.step << ", \"max\": ";
-    put(os, sl.max_compute_s);
-    os << ", \"mean\": ";
-    put(os, sl.mean_compute_s);
-    os << ", \"critical_rank\": " << sl.critical_rank << "}";
+    w.begin_object().field("step", sl.step).field("max", sl.max_compute_s);
+    w.field("mean", sl.mean_compute_s);
+    w.field("critical_rank", sl.critical_rank).end_object();
   }
-  os << "\n    ]\n  },\n";
-  os << "  \"deep_halo\": {\n";
-  os << "    \"exchanges\": " << r.exchanges;
-  os << ",\n    \"saved_exchanges\": " << r.saved_exchanges;
-  os << ",\n    \"redundant_compute_seconds\": ";
-  put(os, r.redundant_compute_s);
-  os << "\n  }\n}\n}\n";
+  w.end_array().end_object();
+  w.key("deep_halo").begin_object();
+  w.field("exchanges", r.exchanges);
+  w.field("saved_exchanges", r.saved_exchanges);
+  w.field("redundant_compute_seconds", r.redundant_compute_s);
+  w.end_object().end_object().end_object();
   return os.str();
-}
-
-bool write_analysis_file(const std::string& path,
-                         const AnalysisReport& report) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return false;
-  }
-  out << analysis_json(report);
-  return static_cast<bool>(out);
 }
 
 std::string analysis_summary(const AnalysisReport& r) {

@@ -106,8 +106,6 @@ AnalysisReport analyze(const TraceData& data);
 /// "wait" / "overlap" / "imbalance" / "deep_halo" sections
 /// (validated by obs::validate_analysis_json / tools/trace_check).
 std::string analysis_json(const AnalysisReport& report);
-bool write_analysis_file(const std::string& path,
-                         const AnalysisReport& report);
 
 /// Human-readable digest (a few lines), for logs and examples.
 std::string analysis_summary(const AnalysisReport& report);

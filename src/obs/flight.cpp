@@ -1,21 +1,19 @@
 #include "obs/flight.h"
 
 #include <atomic>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <exception>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <vector>
 
 #include "core/env.h"
-#include "obs/events.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 
 namespace jitfd::obs::flight {
@@ -47,137 +45,64 @@ std::atomic<std::int64_t> g_steps[kMaxRanks];
 std::atomic<int> g_max_rank{-1};
 std::atomic<bool> g_dumped{false};
 
-std::string json_escape(const std::string& s) {
-  std::ostringstream os;
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  return os.str();
-}
-
 std::string build_bundle(const std::string& reason, int rank,
                          std::int64_t step, const std::string& detail) {
   std::ostringstream os;
-  os << "{\n\"flight\": {\n";
-  os << "  \"schema_version\": 1,\n";
-  os << "  \"reason\": \"" << json_escape(reason) << "\",\n";
-  os << "  \"rank\": " << rank << ",\n";
-  os << "  \"step\": " << step << ",\n";
-  os << "  \"detail\": \"" << json_escape(detail) << "\",\n";
+  json::Writer w(os, json::NonFinite::Null, 3);
+  w.begin_object().key("flight").begin_object();
+  w.field("schema_version", 1).field("reason", reason);
+  w.field("rank", rank).field("step", step).field("detail", detail);
 
   State& s = state();
   {
     const std::lock_guard<std::mutex> lock(s.mtx);
-    os << "  \"config\": {";
-    bool first = true;
+    w.key("config").begin_object();
     for (const auto& [k, v] : s.config) {
-      os << (first ? "\n" : ",\n") << "    \"" << json_escape(k)
-         << "\": " << v;
-      first = false;
+      w.key(k).raw(v);
     }
-    os << (first ? "" : "\n  ") << "},\n";
+    w.end_object();
 
-    os << "  \"health\": [";
-    first = true;
-    auto finite_or_null = [&os](double v) {
-      if (std::isfinite(v)) {
-        os << v;
-      } else {
-        os << "null";
-      }
-    };
+    w.key("health").begin_array();
     for (const HealthRec& h : s.health) {
-      os << (first ? "\n" : ",\n") << "    {\"step\": " << h.step
-         << ", \"field\": \"" << json_escape(h.field)
-         << "\", \"field_id\": " << h.field_id << ", \"nan\": "
-         << h.nan_count << ", \"inf\": " << h.inf_count << ", \"min\": ";
-      finite_or_null(h.min);
-      os << ", \"max\": ";
-      finite_or_null(h.max);
-      os << ", \"l2\": ";
-      finite_or_null(h.l2);
-      os << ", \"bad_rank\": " << h.bad_rank << "}";
-      first = false;
+      w.begin_object().field("step", h.step).field("field", h.field);
+      w.field("field_id", h.field_id).field("nan", h.nan_count);
+      w.field("inf", h.inf_count).field("min", h.min).field("max", h.max);
+      w.field("l2", h.l2).field("bad_rank", h.bad_rank).end_object();
     }
-    os << (first ? "" : "\n  ") << "],\n";
+    w.end_array();
   }
 
-  os << "  \"steps\": [";
-  {
-    bool first = true;
-    const int max_rank = g_max_rank.load(std::memory_order_relaxed);
-    for (int r = 0; r <= max_rank && r < kMaxRanks; ++r) {
-      os << (first ? "\n" : ",\n") << "    {\"rank\": " << r
-         << ", \"step\": " << g_steps[r].load(std::memory_order_relaxed)
-         << "}";
-      first = false;
-    }
-    os << (first ? "" : "\n  ") << "],\n";
+  w.key("steps").begin_array();
+  const int max_rank = g_max_rank.load(std::memory_order_relaxed);
+  for (int r = 0; r <= max_rank && r < kMaxRanks; ++r) {
+    w.begin_object().field("rank", r);
+    w.field("step", g_steps[r].load(std::memory_order_relaxed)).end_object();
   }
+  w.end_array();
 
-  // Recent structured events (bounded tail of the per-thread rings).
-  {
-    events::EventData ev = events::collect();
-    if (ev.events.size() > kEventTail) {
-      ev.events.erase(ev.events.begin(),
-                      ev.events.end() -
-                          static_cast<std::ptrdiff_t>(kEventTail));
-    }
-    os << "  \"events\": " << events::to_json(ev) << ",\n";
+  // Recent structured events (the newest kv instants of the trace ring).
+  const TraceData trace = obs::collect();
+  w.key("events").raw(events_json(trace, kEventTail));
+
+  // Trace-ring tail, newest kTraceTailPerRank records per rank (the
+  // snapshot is sorted by rank, then time).
+  std::map<int, std::size_t> left;
+  for (const TraceData::Rec& rec : trace.events) {
+    ++left[rec.rank];
   }
-
-  // Trace-ring tail, newest kTraceTailPerRank spans per rank.
-  {
-    const TraceData trace = obs::collect();
-    std::map<int, std::vector<const TraceData::Rec*>> by_rank;
-    for (const TraceData::Rec& rec : trace.events) {
-      by_rank[rec.rank].push_back(&rec);
+  w.key("trace").begin_array();
+  for (const TraceData::Rec& rec : trace.events) {
+    if (left[rec.rank]-- <= kTraceTailPerRank) {
+      w.begin_object().field("name", rec.name);
+      w.field("cat", obs::to_string(rec.cat)).field("rank", rec.rank);
+      w.field("t0_ns", rec.t0_ns).field("t1_ns", rec.t1_ns);
+      w.field("a0", rec.a0).field("a1", rec.a1).end_object();
     }
-    os << "  \"trace\": [";
-    bool first = true;
-    for (const auto& [r, recs] : by_rank) {
-      const std::size_t begin =
-          recs.size() > kTraceTailPerRank ? recs.size() - kTraceTailPerRank
-                                          : 0;
-      for (std::size_t i = begin; i < recs.size(); ++i) {
-        const TraceData::Rec& rec = *recs[i];
-        os << (first ? "\n" : ",\n") << "    {\"name\": \""
-           << json_escape(rec.name) << "\", \"cat\": \""
-           << obs::to_string(rec.cat) << "\", \"rank\": " << rec.rank
-           << ", \"t0_ns\": " << rec.t0_ns << ", \"t1_ns\": " << rec.t1_ns
-           << ", \"a0\": " << rec.a0 << ", \"a1\": " << rec.a1 << "}";
-        first = false;
-      }
-    }
-    os << (first ? "" : "\n  ") << "],\n";
   }
+  w.end_array();
 
-  os << "  \"metrics\": " << metrics::to_json();
-  os << "}\n}\n";
+  w.key("metrics").raw(metrics::to_json());
+  w.end_object().end_object();
   return os.str();
 }
 
@@ -251,11 +176,7 @@ std::string dump(const std::string& reason, int rank, std::int64_t step,
     const std::lock_guard<std::mutex> lock(s.mtx);
     return s.dump_path.empty() ? path : s.dump_path;
   }
-  const std::string bundle = build_bundle(reason, rank, step, detail);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bundle;
-  }
+  json::write_file(path, build_bundle(reason, rank, step, detail));
   const std::lock_guard<std::mutex> lock(s.mtx);
   s.dump_path = path;
   return path;

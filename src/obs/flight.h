@@ -3,7 +3,7 @@
 // Long-lived solver processes need more than a stack trace when things
 // go wrong: which step each rank was on, what the health time-series
 // looked like leading up to the NaN, what the run was configured as,
-// and what the last recorded events were. This module accumulates that
+// and what the trace ring last recorded. This module accumulates that
 // state cheaply during a run (a relaxed per-step store, bounded health
 // ring, config map written once per apply) and, on demand — NaN/Inf
 // detection under on_nan=abort_dump, an uncaught exception, or a fatal
@@ -11,9 +11,8 @@
 //
 //   {"flight": {"schema_version": 1, "reason": ..., "rank": N,
 //               "step": N, "detail": ..., "config": {...},
-//               "steps": [{"rank": N, "step": N}, ...],
-//               "health": [...], "events": {...}, "trace": [...],
-//               "metrics": {...}}}
+//               "health": [...], "steps": [{"rank": N, "step": N}, ...],
+//               "events": {...}, "trace": [...], "metrics": {...}}}
 //
 // The dump is once-per-process (first reason wins; later calls return
 // the existing path) and lands in $JITFD_FLIGHT_DIR (default ".") as

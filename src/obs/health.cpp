@@ -6,9 +6,9 @@
 #include <limits>
 #include <sstream>
 
-#include "obs/events.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace jitfd::obs::health {
 
@@ -35,35 +35,6 @@ OnNan on_nan_from_string(const std::string& name) {
     return OnNan::AbortDump;
   }
   throw std::invalid_argument("unknown on_nan policy '" + name + "'");
-}
-
-namespace {
-
-void append_finite_or_null(std::ostringstream& os, double v) {
-  if (std::isfinite(v)) {
-    std::ostringstream tmp;
-    tmp.precision(17);
-    tmp << v;
-    os << tmp.str();
-  } else {
-    os << "null";
-  }
-}
-
-}  // namespace
-
-std::string Sample::to_json() const {
-  std::ostringstream os;
-  os << "{\"step\": " << step << ", \"field\": \"" << field
-     << "\", \"field_id\": " << field_id << ", \"nan\": " << nan_count
-     << ", \"inf\": " << inf_count << ", \"min\": ";
-  append_finite_or_null(os, min);
-  os << ", \"max\": ";
-  append_finite_or_null(os, max);
-  os << ", \"l2\": ";
-  append_finite_or_null(os, l2);
-  os << ", \"bad_rank\": " << first_bad_rank << "}";
-  return os.str();
 }
 
 Monitor::Monitor(Options opts) : opts_(std::move(opts)) {}
@@ -119,8 +90,8 @@ void Monitor::on_check(int field_id, std::int64_t time,
   }
   summary_.series.push_back(s);
 
-  // Process-wide sinks (metrics, events, flight ring) see each global
-  // sample once: rank 0 reports for everyone.
+  // Process-wide sinks (metrics, trace kv instants, flight ring) see
+  // each global sample once: rank 0 reports for everyone.
   if (opts_.rank == 0) {
     static metrics::Counter& checks = metrics::counter(
         "health.checks", "Health checks performed (one per field per "
@@ -138,27 +109,22 @@ void Monitor::on_check(int field_id, std::int64_t time,
     if (newly_bad) {
       divergences.add(1);
     }
-    events::emit("health.check", events::EvCat::Health, s.step,
-                 {{"field", static_cast<double>(s.field_id)},
-                  {"nan", static_cast<double>(s.nan_count)},
-                  {"inf", static_cast<double>(s.inf_count)},
-                  {"l2", s.l2}});
+    instant("health.check", Cat::Health, s.step,
+            {{"field", s.field_id},
+             {"nan", s.nan_count},
+             {"inf", s.inf_count},
+             {"l2", s.l2}});
     if (newly_bad) {
-      events::emit("health.divergence", events::EvCat::Health, s.step,
-                   {{"field", static_cast<double>(s.field_id)},
-                    {"rank", static_cast<double>(s.first_bad_rank)},
-                    {"nan", static_cast<double>(s.nan_count)}});
+      instant("health.divergence", Cat::Health, s.step,
+              {{"field", s.field_id},
+               {"rank", s.first_bad_rank},
+               {"nan", s.nan_count}});
     }
-    flight::HealthRec rec;
-    rec.step = s.step;
-    rec.field_id = s.field_id;
+    flight::HealthRec rec{.step = s.step, .field_id = s.field_id,
+                          .nan_count = s.nan_count, .inf_count = s.inf_count,
+                          .min = s.min, .max = s.max, .l2 = s.l2,
+                          .bad_rank = s.first_bad_rank};
     std::snprintf(rec.field, sizeof(rec.field), "%s", s.field.c_str());
-    rec.nan_count = s.nan_count;
-    rec.inf_count = s.inf_count;
-    rec.min = s.min;
-    rec.max = s.max;
-    rec.l2 = s.l2;
-    rec.bad_rank = s.first_bad_rank;
     flight::record_health(rec);
   }
 

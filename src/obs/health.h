@@ -10,15 +10,15 @@
 // guarded by `time % interval` identically on every rank, so the
 // collectives stay in lockstep — and:
 //   - appends a Sample to the run's Summary time-series,
-//   - updates the obs/metrics registry and emits a structured event,
+//   - updates the obs/metrics registry and records a kv instant,
 //   - feeds the flight recorder's bounded health ring,
 //   - applies the OnNan policy when NaN/Inf points appear.
 //
 // OnNan::AbortDump writes the flight-recorder bundle and throws
 // DivergenceError on every rank (the reduced counts are identical
-// everywhere, so no rank is left blocked in a collective); smpi::run
-// rethrows it on the caller thread, turning divergence into a nonzero
-// process exit.
+// everywhere, so no rank is left blocked in a collective);
+// smpi::launch rethrows it on the caller thread, turning divergence
+// into a nonzero process exit.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +80,6 @@ struct Sample {
   int first_bad_rank = -1;  ///< Lowest rank with NaN/Inf (-1 = clean).
 
   bool bad() const { return nan_count + inf_count > 0; }
-  std::string to_json() const;
 };
 
 /// Per-run health outcome, carried in core::RunSummary.
@@ -96,7 +95,7 @@ struct Summary {
   bool healthy() const { return first_bad_step < 0; }
 };
 
-/// Thrown by OnNan::AbortDump (on every rank; smpi::run rethrows the
+/// Thrown by OnNan::AbortDump (on every rank; smpi::launch rethrows the
 /// lowest rank's copy after all ranks joined).
 class DivergenceError : public std::runtime_error {
  public:

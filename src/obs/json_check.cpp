@@ -1,16 +1,15 @@
 #include "obs/json_check.h"
 
 #include <cctype>
-#include <cmath>
+#include <charconv>
 #include <cstdlib>
-#include <memory>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
 namespace jitfd::obs {
 
 namespace {
-
 
 class Parser {
  public:
@@ -154,39 +153,23 @@ class Parser {
         if (pos_ >= s_.size()) {
           break;
         }
-        switch (s_[pos_]) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case '/':
-            out += '/';
-            break;
-          case 'b':
-          case 'f':
-          case 'n':
-          case 'r':
-          case 't':
-            out += ' ';
-            break;
-          case 'u': {
-            for (int i = 1; i <= 4; ++i) {
-              if (pos_ + static_cast<std::size_t>(i) >= s_.size() ||
-                  !std::isxdigit(static_cast<unsigned char>(
-                      s_[pos_ + static_cast<std::size_t>(i)]))) {
-                err = at("invalid \\u escape");
-                return false;
-              }
-            }
-            pos_ += 4;
-            out += '?';
-            break;
-          }
-          default:
-            err = at("invalid escape");
-            return false;
+        // Single-character escapes, then \uXXXX (decoded to UTF-8).
+        constexpr std::string_view kFrom = "\"\\/bfnrt";
+        constexpr std::string_view kTo = "\"\\/\b\f\n\r\t";
+        const char* hex = s_.data() + pos_ + 1;
+        unsigned cp = 0;
+        if (const std::size_t k = kFrom.find(s_[pos_]); k != kFrom.npos) {
+          out += kTo[k];
+        } else if (s_[pos_] != 'u') {
+          err = at("invalid escape");
+          return false;
+        } else if (pos_ + 4 >= s_.size() ||
+                   std::from_chars(hex, hex + 4, cp, 16).ptr != hex + 4) {
+          err = at("invalid \\u escape");
+          return false;
+        } else {
+          append_utf8(out, cp);
+          pos_ += 4;
         }
         ++pos_;
         continue;
@@ -196,6 +179,20 @@ class Parser {
     }
     err = at("unterminated string");
     return false;
+  }
+
+  // UTF-8 of one \u code unit (surrogates are encoded as they come).
+  static void append_utf8(std::string& out, unsigned cp) {
+    if (cp < 0x80) {
+      out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+      out += static_cast<char>(0xC0 | (cp >> 6));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else {
+      out += static_cast<char>(0xE0 | (cp >> 12));
+      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
+    }
   }
 
   bool array(JsonValue& out, std::string& err) {
@@ -283,19 +280,6 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-bool require_num(const JsonValue& ev, const std::string& key, double* out,
-                 std::string& err) {
-  const JsonValue* v = ev.find(key);
-  if (v == nullptr || v->type != JsonValue::Type::Num) {
-    err = "event missing numeric \"" + key + "\"";
-    return false;
-  }
-  if (out != nullptr) {
-    *out = v->num;
-  }
-  return true;
-}
-
 }  // namespace
 
 bool json_parse(std::string_view json, JsonValue& out, std::string* error) {
@@ -312,559 +296,419 @@ bool json_valid(std::string_view json, std::string* error) {
   return json_parse(json, root, error);
 }
 
+namespace {
+
+// --- Table-driven schemas ---------------------------------------------
+//
+// Every document is a tree of tables: per field its key, type, whether
+// it is required, the table of its members (objects) or of each row
+// (arrays), and an optional named value rule. One checker walks them
+// all and reports the first violation.
+
+enum class Kind { Num, Str, NonEmptyStr, Bool, Obj, Arr, NumOrNull, Any };
+
+const char* const kKindName[] = {"numeric", "string", "non-empty string",
+                                 "boolean", "object", "array",
+                                 "numeric-or-null", "value"};
+
+bool has_kind(const JsonValue& v, Kind k) {
+  using T = JsonValue::Type;
+  switch (k) {
+    case Kind::Num: return v.type == T::Num;
+    case Kind::Str: return v.type == T::Str;
+    case Kind::NonEmptyStr: return v.type == T::Str && !v.str.empty();
+    case Kind::Bool: return v.type == T::Bool;
+    case Kind::Obj: return v.type == T::Obj;
+    case Kind::Arr: return v.type == T::Arr;
+    case Kind::NumOrNull: return v.type == T::Num || v.type == T::Null;
+    case Kind::Any: return true;
+  }
+  return false;
+}
+
+/// A named value rule: "" when `v` passes, else what is wrong with it.
+using Rule = std::string (*)(const JsonValue& v);
+
+struct Schema;
+
+struct Field {
+  const char* key;
+  Kind kind = Kind::Num;
+  bool required = true;
+  const Schema* nested = nullptr;  ///< Obj: its members; Arr: each row.
+  Rule rule = nullptr;
+};
+
+struct Schema {
+  const char* where;  ///< Name of one such object in error messages.
+  std::vector<Field> fields;
+  Rule rule = nullptr;  ///< Whole-object rule, run after the fields.
+};
+
+/// Required numeric fields `keys`, then `more`.
+std::vector<Field> nums(std::initializer_list<const char*> keys,
+                        std::vector<Field> more = {}) {
+  std::vector<Field> out;
+  for (const char* key : keys) {
+    out.push_back({key});
+  }
+  out.insert(out.end(), more.begin(), more.end());
+  return out;
+}
+
+std::string check(const JsonValue& v, const Schema& s,
+                  const std::string& where);
+
+/// Check the members (object) or each row (array) of `m`.
+std::string check_nested(const JsonValue& m, const Schema& nested) {
+  if (m.type == JsonValue::Type::Obj) {
+    return check(m, nested, nested.where);
+  }
+  for (const JsonValue& row : m.arr) {
+    if (std::string err = check(row, nested, nested.where); !err.empty()) {
+      return err;
+    }
+  }
+  return {};
+}
+
+std::string check(const JsonValue& v, const Schema& s,
+                  const std::string& where) {
+  if (v.type != JsonValue::Type::Obj) {
+    return where + " is not an object";
+  }
+  for (const Field& f : s.fields) {
+    const JsonValue* m = v.find(f.key);
+    if (m == nullptr && !f.required) {
+      continue;
+    }
+    const std::string key = std::string("\"") + f.key + "\"";
+    if (m == nullptr || !has_kind(*m, f.kind)) {
+      return where + " missing " + kKindName[static_cast<int>(f.kind)] +
+             " " + key;
+    }
+    if (std::string err = f.nested ? check_nested(*m, *f.nested) : "";
+        !err.empty()) {
+      return err;
+    }
+    if (std::string err = f.rule ? f.rule(*m) : ""; !err.empty()) {
+      return where + " " + key + " " + err;
+    }
+  }
+  return s.rule != nullptr ? s.rule(v) : std::string();
+}
+
+// Named value rules.
+
+std::string all_numeric(const JsonValue& v) {
+  for (const JsonValue& e : v.arr) {
+    if (e.type != JsonValue::Type::Num) {
+      return "has a non-numeric entry";
+    }
+  }
+  return {};
+}
+
+// Event pairs: a NaN/Inf value exports as null.
+std::string numeric_or_null_members(const JsonValue& v) {
+  for (const auto& [k, e] : v.obj) {
+    if (!has_kind(e, Kind::NumOrNull)) {
+      return "entry \"" + k + "\" is not numeric";
+    }
+  }
+  return {};
+}
+
+std::string unit_interval(const JsonValue& v) {
+  return v.num >= 0.0 && v.num <= 1.0 ? "" : "outside [0, 1]";
+}
+
+std::string non_negative(const JsonValue& v) {
+  return v.num >= 0.0 ? "" : "is negative";
+}
+
+std::string schema_version_1(const JsonValue& v) {
+  return v.num == 1.0 ? "" : "is not schema_version 1";
+}
+
+std::string monotone_bucket_counts(const JsonValue& buckets) {
+  double prev = -1.0;
+  for (const JsonValue& b : buckets.arr) {
+    if (b.find("count")->num < prev) {
+      return "has non-monotone bucket counts";
+    }
+    prev = b.find("count")->num;
+  }
+  return {};
+}
+
+std::string objective_enum(const JsonValue& v) {
+  return v.str == "wall" || v.str == "attributed"
+             ? ""
+             : "must be \"wall\" or \"attributed\"";
+}
+
+// Chrome trace events: metadata ("M") events carry no timestamps,
+// complete ("X") events also a duration.
+const Schema kTimedEvent{
+    "trace event",
+    nums({"pid", "tid"}, {{"ts", Kind::Num, true, nullptr, non_negative}})};
+const Schema kCompleteEvent{"trace event",
+                            {{"dur", Kind::Num, true, nullptr, non_negative}}};
+
+std::string timed_event(const JsonValue& ev) {
+  const std::string& ph = ev.find("ph")->str;
+  std::string err = ph == "M" ? "" : check(ev, kTimedEvent, "trace event");
+  return err.empty() && ph == "X" ? check(ev, kCompleteEvent, "trace event")
+                                  : err;
+}
+
+const Schema kTraceEvent{"trace event",
+                         {{"name", Kind::Str}, {"ph", Kind::NonEmptyStr}},
+                         timed_event};
+const Schema kChromeDoc{"document",
+                        {{"traceEvents", Kind::Arr, true, &kTraceEvent}}};
+
+// Metrics: the value fields depend on the instrument type.
+const Schema kBucket{"histogram bucket", {{"le", Kind::Any}, {"count"}}};
+const Schema kScalarMetric{"metric", nums({"value"})};
+const Schema kHistogram{
+    "metric",
+    nums({"count", "sum"}, {{"buckets", Kind::Arr, true, &kBucket,
+                             monotone_bucket_counts}})};
+
+std::string metric_by_type(const JsonValue& m) {
+  const std::string where = "metric \"" + m.find("name")->str + "\"";
+  const std::string& type = m.find("type")->str;
+  if (type == "counter" || type == "gauge") {
+    return check(m, kScalarMetric, where);
+  }
+  return type == "histogram" ? check(m, kHistogram, where)
+                             : where + " has unknown type \"" + type + "\"";
+}
+
+const Schema kMetric{"metrics entry",
+                     {{"name", Kind::NonEmptyStr}, {"type", Kind::Str}},
+                     metric_by_type};
+const Schema kMetricsDoc{"document", {{"metrics", Kind::Arr, true, &kMetric}}};
+
+// Cross-rank analysis.
+const Schema kWaitRank{"wait rank row",
+                       nums({"rank", "wait_seconds", "late_sender_seconds",
+                             "late_receiver_seconds", "blamed_seconds"})};
+const Schema kWait{
+    "\"wait\"",
+    nums({"late_sender_seconds", "late_receiver_seconds", "transfer_seconds",
+          "matched", "unmatched", "culprit_rank", "rendezvous_messages",
+          "queued_messages"},
+         {{"ranks", Kind::Arr, true, &kWaitRank}})};
+const Schema kOverlap{
+    "\"overlap\"",
+    nums({"async_exchanges", "window_seconds", "hidden_seconds"},
+         {{"efficiency", Kind::Num, true, nullptr, unit_interval}})};
+const Schema kRankLoad{"imbalance rank row",
+                       nums({"rank", "compute_seconds"})};
+const Schema kStepLoad{"imbalance step row",
+                       nums({"step", "max", "mean", "critical_rank"})};
+const Schema kImbalance{
+    "\"imbalance\"",
+    nums({"max_compute_seconds", "mean_compute_seconds", "ratio",
+          "critical_rank"},
+         {{"ranks", Kind::Arr, true, &kRankLoad},
+          {"steps", Kind::Arr, true, &kStepLoad}})};
+const Schema kDeepHalo{"\"deep_halo\"",
+                       nums({"exchanges", "saved_exchanges",
+                             "redundant_compute_seconds"})};
+const Schema kAnalysis{
+    "\"analysis\"",
+    nums({"nranks", "steps", "strips", "exchange_depth", "wall_seconds"},
+         {{"wait", Kind::Obj, true, &kWait},
+          {"overlap", Kind::Obj, true, &kOverlap},
+          {"imbalance", Kind::Obj, true, &kImbalance},
+          {"deep_halo", Kind::Obj, true, &kDeepHalo}})};
+const Schema kAnalysisDoc{"document",
+                          {{"analysis", Kind::Obj, true, &kAnalysis}}};
+
+// Autotune report. Rows share the (mode, depth, tile) key of "best".
+std::vector<Field> trial_key(std::vector<Field> more) {
+  more.insert(more.begin(), {{"mode", Kind::NonEmptyStr},
+                             {"depth"},
+                             {"tile", Kind::Arr, true, nullptr, all_numeric}});
+  return more;
+}
+
+const Schema kTrialKey{"\"best\"", trial_key({})};
+const Schema kTrial{"trial row", trial_key({{"seconds"}})};
+const Schema kSkipped{"skipped row",
+                      trial_key({{"reason", Kind::NonEmptyStr}})};
+const Schema kScore{
+    "trial score",
+    nums({"wait_seconds", "imbalance_ratio", "critical_rank",
+          "redundant_seconds", "imbalance_penalty_seconds",
+          "attributed_cost_seconds"},
+         {{"overlap_efficiency", Kind::Num, true, nullptr, unit_interval}})};
+const Schema kScoredTrial{"trial row", {{"score", Kind::Obj, true, &kScore}}};
+const Schema kRebalance{"\"rebalance\"",
+                        nums({"rank", "threshold"},
+                             {{"recommended", Kind::Bool}})};
+
+// Only the attributed objective scores its trials.
+std::string attributed_scores(const JsonValue& a) {
+  return a.find("objective")->str == "attributed"
+             ? check_nested(*a.find("trials"), kScoredTrial)
+             : "";
+}
+
+const Schema kAutotune{
+    "\"autotune\"",
+    {{"objective", Kind::Str, true, nullptr, objective_enum},
+     {"why", Kind::NonEmptyStr},
+     {"best", Kind::Obj, true, &kTrialKey},
+     {"rebalance", Kind::Obj, true, &kRebalance},
+     {"trials", Kind::Arr, true, &kTrial},
+     {"skipped", Kind::Arr, true, &kSkipped}},
+    attributed_scores};
+const Schema kAutotuneDoc{"document",
+                          {{"autotune", Kind::Obj, true, &kAutotune}}};
+
+// Events document (also embedded in the flight bundle).
+const Schema kEvent{"event",
+                    nums({"rank", "step", "t_ns"},
+                         {{"name", Kind::NonEmptyStr},
+                          {"cat", Kind::NonEmptyStr},
+                          {"kv", Kind::Obj, true, nullptr,
+                           numeric_or_null_members}})};
+const Schema kEventsDoc{"events document",
+                        {{"events", Kind::Arr, true, &kEvent}, {"dropped"}}};
+
+// Flight-recorder bundle. Health min/max/l2 are null when no finite
+// point exists.
+const Schema kHealthRow{
+    "health sample",
+    nums({"step", "field_id", "nan", "inf", "bad_rank"},
+         {{"field", Kind::Str},
+          {"min", Kind::NumOrNull},
+          {"max", Kind::NumOrNull},
+          {"l2", Kind::NumOrNull}})};
+const Schema kStepRow{"steps row", nums({"rank", "step"})};
+const Schema kTraceRow{"trace row",
+                       nums({"rank", "t0_ns", "t1_ns"}, {{"name", Kind::Str}})};
+const Schema kFlight{
+    "\"flight\"",
+    nums({"rank", "step"},
+         {{"schema_version", Kind::Num, true, nullptr, schema_version_1},
+          {"reason", Kind::Str},
+          {"detail", Kind::Str},
+          {"config", Kind::Obj},
+          {"health", Kind::Arr, true, &kHealthRow},
+          {"steps", Kind::Arr, true, &kStepRow},
+          {"events", Kind::Obj, true, &kEventsDoc},
+          {"trace", Kind::Arr, true, &kTraceRow},
+          {"metrics", Kind::Obj}})};
+const Schema kFlightDoc{"document", {{"flight", Kind::Obj, true, &kFlight}}};
+
+// Bench reports (bench/bench_util.h series_json), read by obs/sentinel:
+// every extra numeric field of a series is a counter.
+const Schema kDriftGate{"drift gate", nums({"value", "band"})};
+
+std::string drift_gates(const JsonValue& drift) {
+  for (const auto& [metric, gate] : drift.obj) {
+    const std::string where = "drift metric \"" + metric + "\"";
+    if (std::string err = check(gate, kDriftGate, where); !err.empty()) {
+      return err;
+    }
+  }
+  return {};
+}
+
+const Schema kSeries{"series entry",
+                     {{"name", Kind::Str},
+                      {"median_seconds"},
+                      {"spread_pct", Kind::Num, false},
+                      {"drift", Kind::Obj, false, nullptr, drift_gates}}};
+const Schema kSeriesDoc{"document", {{"series", Kind::Arr, true, &kSeries}}};
+
+/// Check `json` against `schema` (parsing into `doc` when given); items
+/// counts the rows of the array at `path`, or the sections (object
+/// members) when it is an object.
+SchemaCheck schema_check(std::string_view json, const Schema& schema,
+                         std::initializer_list<const char*> path,
+                         JsonValue* doc = nullptr) {
+  SchemaCheck out;
+  JsonValue local;
+  JsonValue& root = doc != nullptr ? *doc : local;
+  if (json_parse(json, root, &out.error)) {
+    out.error = check(root, schema, schema.where);
+  }
+  if (!out.error.empty()) {
+    return out;
+  }
+  const JsonValue* v = &root;
+  for (const char* key : path) {
+    v = v->find(key);
+  }
+  out.items = static_cast<std::int64_t>(v->arr.size());
+  for (const auto& [k, section] : v->obj) {
+    out.items += section.type == JsonValue::Type::Obj ? 1 : 0;
+  }
+  out.ok = true;
+  return out;
+}
+
+}  // namespace
+
 ChromeCheck validate_chrome_trace(std::string_view json) {
   ChromeCheck out;
   JsonValue root;
-  if (!Parser(json).parse(root, out.error)) {
+  out.error = schema_check(json, kChromeDoc, {"traceEvents"}, &root).error;
+  if (!out.error.empty()) {
     return out;
   }
-  if (root.type != JsonValue::Type::Obj) {
-    out.error = "top level is not an object";
-    return out;
-  }
-  const JsonValue* events = root.find("traceEvents");
-  if (events == nullptr || events->type != JsonValue::Type::Arr) {
-    out.error = "missing \"traceEvents\" array";
-    return out;
-  }
-  for (const JsonValue& ev : events->arr) {
-    if (ev.type != JsonValue::Type::Obj) {
-      out.error = "trace event is not an object";
-      return out;
+  for (const JsonValue& ev : root.find("traceEvents")->arr) {
+    const std::string& ph = ev.find("ph")->str;
+    if (ph != "M") {
+      out.complete += ph == "X" ? 1 : 0;
+      out.instants += ph == "i" ? 1 : 0;
+      ++out.events;
+      out.tids.insert(static_cast<int>(ev.find("tid")->num));
     }
-    const JsonValue* name = ev.find("name");
-    const JsonValue* ph = ev.find("ph");
-    if (name == nullptr || name->type != JsonValue::Type::Str ||
-        ph == nullptr || ph->type != JsonValue::Type::Str || ph->str.empty()) {
-      out.error = "event missing string \"name\"/\"ph\"";
-      return out;
-    }
-    if (ph->str == "M") {
-      continue;  // Metadata events carry no timestamps.
-    }
-    double ts = 0.0;
-    double tid = 0.0;
-    if (!require_num(ev, "ts", &ts, out.error) ||
-        !require_num(ev, "pid", nullptr, out.error) ||
-        !require_num(ev, "tid", &tid, out.error)) {
-      return out;
-    }
-    if (ts < 0.0) {
-      out.error = "negative timestamp";
-      return out;
-    }
-    if (ph->str == "X") {
-      double dur = 0.0;
-      if (!require_num(ev, "dur", &dur, out.error)) {
-        return out;
-      }
-      if (dur < 0.0) {
-        out.error = "negative duration";
-        return out;
-      }
-      ++out.complete;
-    } else if (ph->str == "i") {
-      ++out.instants;
-    }
-    ++out.events;
-    out.tids.insert(static_cast<int>(tid));
   }
   out.ok = true;
   return out;
 }
-
-namespace {
-
-bool want_num(const JsonValue& obj, const std::string& key,
-              std::string& err, const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type != JsonValue::Type::Num) {
-    err = where + " missing numeric \"" + key + "\"";
-    return false;
-  }
-  return true;
-}
-
-const JsonValue* want_obj(const JsonValue& obj, const std::string& key,
-                          std::string& err, const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type != JsonValue::Type::Obj) {
-    err = where + " missing object \"" + key + "\"";
-    return nullptr;
-  }
-  return v;
-}
-
-const JsonValue* want_arr(const JsonValue& obj, const std::string& key,
-                          std::string& err, const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type != JsonValue::Type::Arr) {
-    err = where + " missing array \"" + key + "\"";
-    return nullptr;
-  }
-  return v;
-}
-
-}  // namespace
 
 SchemaCheck validate_metrics_json(std::string_view json) {
-  SchemaCheck out;
-  JsonValue root;
-  if (!json_parse(json, root, &out.error)) {
-    return out;
-  }
-  if (root.type != JsonValue::Type::Obj) {
-    out.error = "top level is not an object";
-    return out;
-  }
-  const JsonValue* metrics = want_arr(root, "metrics", out.error, "document");
-  if (metrics == nullptr) {
-    return out;
-  }
-  for (const JsonValue& m : metrics->arr) {
-    if (m.type != JsonValue::Type::Obj) {
-      out.error = "metrics entry is not an object";
-      return out;
-    }
-    const JsonValue* name = m.find("name");
-    const JsonValue* type = m.find("type");
-    if (name == nullptr || name->type != JsonValue::Type::Str ||
-        name->str.empty() || type == nullptr ||
-        type->type != JsonValue::Type::Str) {
-      out.error = "metrics entry missing string \"name\"/\"type\"";
-      return out;
-    }
-    const std::string where = "metric \"" + name->str + "\"";
-    if (type->str == "counter" || type->str == "gauge") {
-      if (!want_num(m, "value", out.error, where)) {
-        return out;
-      }
-    } else if (type->str == "histogram") {
-      if (!want_num(m, "count", out.error, where) ||
-          !want_num(m, "sum", out.error, where)) {
-        return out;
-      }
-      const JsonValue* buckets = want_arr(m, "buckets", out.error, where);
-      if (buckets == nullptr) {
-        return out;
-      }
-      double prev = -1.0;
-      for (const JsonValue& b : buckets->arr) {
-        const JsonValue* count = b.find("count");
-        const JsonValue* le = b.find("le");
-        if (b.type != JsonValue::Type::Obj || count == nullptr ||
-            count->type != JsonValue::Type::Num || le == nullptr) {
-          out.error = where + " has a malformed bucket";
-          return out;
-        }
-        // Cumulative counts must be monotone non-decreasing.
-        if (count->num < prev) {
-          out.error = where + " has non-monotone bucket counts";
-          return out;
-        }
-        prev = count->num;
-      }
-    } else {
-      out.error = where + " has unknown type \"" + type->str + "\"";
-      return out;
-    }
-    ++out.items;
-  }
-  out.ok = true;
-  return out;
+  return schema_check(json, kMetricsDoc, {"metrics"});
 }
 
 SchemaCheck validate_analysis_json(std::string_view json) {
-  SchemaCheck out;
-  JsonValue root;
-  if (!json_parse(json, root, &out.error)) {
-    return out;
-  }
-  if (root.type != JsonValue::Type::Obj) {
-    out.error = "top level is not an object";
-    return out;
-  }
-  const JsonValue* a = want_obj(root, "analysis", out.error, "document");
-  if (a == nullptr) {
-    return out;
-  }
-  for (const char* key :
-       {"nranks", "steps", "strips", "exchange_depth", "wall_seconds"}) {
-    if (!want_num(*a, key, out.error, "\"analysis\"")) {
-      return out;
-    }
-  }
-  const JsonValue* wait = want_obj(*a, "wait", out.error, "\"analysis\"");
-  if (wait == nullptr) {
-    return out;
-  }
-  for (const char* key :
-       {"late_sender_seconds", "late_receiver_seconds", "transfer_seconds",
-        "matched", "unmatched", "culprit_rank", "rendezvous_messages",
-        "queued_messages"}) {
-    if (!want_num(*wait, key, out.error, "\"wait\"")) {
-      return out;
-    }
-  }
-  const JsonValue* wait_ranks = want_arr(*wait, "ranks", out.error, "\"wait\"");
-  if (wait_ranks == nullptr) {
-    return out;
-  }
-  for (const JsonValue& r : wait_ranks->arr) {
-    for (const char* key : {"rank", "wait_seconds", "late_sender_seconds",
-                            "late_receiver_seconds", "blamed_seconds"}) {
-      if (!want_num(r, key, out.error, "wait rank row")) {
-        return out;
-      }
-    }
-  }
-  ++out.items;
-  const JsonValue* overlap = want_obj(*a, "overlap", out.error, "\"analysis\"");
-  if (overlap == nullptr) {
-    return out;
-  }
-  for (const char* key : {"async_exchanges", "window_seconds",
-                          "hidden_seconds", "efficiency"}) {
-    if (!want_num(*overlap, key, out.error, "\"overlap\"")) {
-      return out;
-    }
-  }
-  const JsonValue* eff = overlap->find("efficiency");
-  if (eff->num < 0.0 || eff->num > 1.0) {
-    out.error = "overlap efficiency outside [0, 1]";
-    return out;
-  }
-  ++out.items;
-  const JsonValue* imb = want_obj(*a, "imbalance", out.error, "\"analysis\"");
-  if (imb == nullptr) {
-    return out;
-  }
-  for (const char* key : {"max_compute_seconds", "mean_compute_seconds",
-                          "ratio", "critical_rank"}) {
-    if (!want_num(*imb, key, out.error, "\"imbalance\"")) {
-      return out;
-    }
-  }
-  const JsonValue* loads = want_arr(*imb, "ranks", out.error, "\"imbalance\"");
-  if (loads == nullptr) {
-    return out;
-  }
-  for (const JsonValue& r : loads->arr) {
-    for (const char* key : {"rank", "compute_seconds"}) {
-      if (!want_num(r, key, out.error, "imbalance rank row")) {
-        return out;
-      }
-    }
-  }
-  const JsonValue* steps = want_arr(*imb, "steps", out.error, "\"imbalance\"");
-  if (steps == nullptr) {
-    return out;
-  }
-  for (const JsonValue& s : steps->arr) {
-    for (const char* key : {"step", "max", "mean", "critical_rank"}) {
-      if (!want_num(s, key, out.error, "imbalance step row")) {
-        return out;
-      }
-    }
-  }
-  ++out.items;
-  const JsonValue* deep = want_obj(*a, "deep_halo", out.error, "\"analysis\"");
-  if (deep == nullptr) {
-    return out;
-  }
-  for (const char* key :
-       {"exchanges", "saved_exchanges", "redundant_compute_seconds"}) {
-    if (!want_num(*deep, key, out.error, "\"deep_halo\"")) {
-      return out;
-    }
-  }
-  ++out.items;
-  out.ok = true;
-  return out;
+  return schema_check(json, kAnalysisDoc, {"analysis"});
 }
-
-namespace {
-
-// One (mode, depth, tile) row shared by autotune "trials" and "best".
-bool check_autotune_key(const JsonValue& row, SchemaCheck& out,
-                        const std::string& where) {
-  const JsonValue* mode = row.find("mode");
-  if (row.type != JsonValue::Type::Obj || mode == nullptr ||
-      mode->type != JsonValue::Type::Str || mode->str.empty()) {
-    out.error = where + " missing string \"mode\"";
-    return false;
-  }
-  if (!want_num(row, "depth", out.error, where)) {
-    return false;
-  }
-  const JsonValue* tile = want_arr(row, "tile", out.error, where);
-  if (tile == nullptr) {
-    return false;
-  }
-  for (const JsonValue& t : tile->arr) {
-    if (t.type != JsonValue::Type::Num) {
-      out.error = where + " has a non-numeric tile entry";
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 SchemaCheck validate_autotune_json(std::string_view json) {
-  SchemaCheck out;
-  JsonValue root;
-  if (!json_parse(json, root, &out.error)) {
-    return out;
-  }
-  if (root.type != JsonValue::Type::Obj) {
-    out.error = "top level is not an object";
-    return out;
-  }
-  const JsonValue* a = want_obj(root, "autotune", out.error, "document");
-  if (a == nullptr) {
-    return out;
-  }
-  const JsonValue* objective = a->find("objective");
-  if (objective == nullptr || objective->type != JsonValue::Type::Str ||
-      (objective->str != "wall" && objective->str != "attributed")) {
-    out.error = "\"autotune\" objective must be \"wall\" or \"attributed\"";
-    return out;
-  }
-  const JsonValue* why = a->find("why");
-  if (why == nullptr || why->type != JsonValue::Type::Str ||
-      why->str.empty()) {
-    out.error = "\"autotune\" missing non-empty string \"why\"";
-    return out;
-  }
-  const JsonValue* best = want_obj(*a, "best", out.error, "\"autotune\"");
-  if (best == nullptr || !check_autotune_key(*best, out, "\"best\"")) {
-    return out;
-  }
-  const JsonValue* reb = want_obj(*a, "rebalance", out.error, "\"autotune\"");
-  if (reb == nullptr) {
-    return out;
-  }
-  const JsonValue* rec = reb->find("recommended");
-  if (rec == nullptr || rec->type != JsonValue::Type::Bool) {
-    out.error = "\"rebalance\" missing boolean \"recommended\"";
-    return out;
-  }
-  if (!want_num(*reb, "rank", out.error, "\"rebalance\"") ||
-      !want_num(*reb, "threshold", out.error, "\"rebalance\"")) {
-    return out;
-  }
-  const JsonValue* trials = want_arr(*a, "trials", out.error, "\"autotune\"");
-  if (trials == nullptr) {
-    return out;
-  }
-  const bool attributed = objective->str == "attributed";
-  for (const JsonValue& t : trials->arr) {
-    if (!check_autotune_key(t, out, "trial row") ||
-        !want_num(t, "seconds", out.error, "trial row")) {
-      return out;
-    }
-    if (attributed) {
-      const JsonValue* score = want_obj(t, "score", out.error, "trial row");
-      if (score == nullptr) {
-        return out;
-      }
-      for (const char* key :
-           {"wait_seconds", "overlap_efficiency", "imbalance_ratio",
-            "critical_rank", "redundant_seconds",
-            "imbalance_penalty_seconds", "attributed_cost_seconds"}) {
-        if (!want_num(*score, key, out.error, "trial score")) {
-          return out;
-        }
-      }
-      const JsonValue* eff = score->find("overlap_efficiency");
-      if (eff->num < 0.0 || eff->num > 1.0) {
-        out.error = "trial score overlap_efficiency outside [0, 1]";
-        return out;
-      }
-    }
-    ++out.items;
-  }
-  const JsonValue* skipped = want_arr(*a, "skipped", out.error, "\"autotune\"");
-  if (skipped == nullptr) {
-    return out;
-  }
-  for (const JsonValue& s : skipped->arr) {
-    if (!check_autotune_key(s, out, "skipped row")) {
-      return out;
-    }
-    const JsonValue* reason = s.find("reason");
-    if (reason == nullptr || reason->type != JsonValue::Type::Str ||
-        reason->str.empty()) {
-      out.error = "skipped row missing non-empty string \"reason\"";
-      return out;
-    }
-  }
-  out.ok = true;
-  return out;
+  return schema_check(json, kAutotuneDoc, {"autotune", "trials"});
 }
-
-namespace {
-
-bool check_events_value(const JsonValue& root, SchemaCheck& out) {
-  if (root.type != JsonValue::Type::Obj) {
-    out.error = "events document is not an object";
-    return false;
-  }
-  const JsonValue* events = want_arr(root, "events", out.error, "document");
-  if (events == nullptr) {
-    return false;
-  }
-  if (!want_num(root, "dropped", out.error, "document")) {
-    return false;
-  }
-  for (const JsonValue& e : events->arr) {
-    if (e.type != JsonValue::Type::Obj) {
-      out.error = "events entry is not an object";
-      return false;
-    }
-    for (const char* key : {"name", "cat"}) {
-      const JsonValue* v = e.find(key);
-      if (v == nullptr || v->type != JsonValue::Type::Str || v->str.empty()) {
-        out.error = std::string("event missing string \"") + key + "\"";
-        return false;
-      }
-    }
-    const std::string where = "event \"" + e.find("name")->str + "\"";
-    for (const char* key : {"rank", "step", "t_ns"}) {
-      if (!want_num(e, key, out.error, where)) {
-        return false;
-      }
-    }
-    const JsonValue* kv = want_obj(e, "kv", out.error, where);
-    if (kv == nullptr) {
-      return false;
-    }
-    for (const auto& [k, v] : kv->obj) {
-      if (v.type != JsonValue::Type::Num) {
-        out.error = where + " kv \"" + k + "\" is not numeric";
-        return false;
-      }
-    }
-    ++out.items;
-  }
-  return true;
-}
-
-}  // namespace
 
 SchemaCheck validate_events_json(std::string_view json) {
-  SchemaCheck out;
-  JsonValue root;
-  if (!json_parse(json, root, &out.error)) {
-    return out;
-  }
-  out.ok = check_events_value(root, out);
-  return out;
+  return schema_check(json, kEventsDoc, {"events"});
+}
+
+SchemaCheck validate_series_json(std::string_view json, JsonValue* doc) {
+  return schema_check(json, kSeriesDoc, {"series"}, doc);
 }
 
 FlightCheck validate_flight_json(std::string_view json) {
   FlightCheck out;
   JsonValue root;
-  if (!json_parse(json, root, &out.error)) {
+  out.error = schema_check(json, kFlightDoc, {"flight"}, &root).error;
+  if (!out.error.empty()) {
     return out;
   }
-  if (root.type != JsonValue::Type::Obj) {
-    out.error = "top level is not an object";
-    return out;
-  }
-  const JsonValue* f = want_obj(root, "flight", out.error, "document");
-  if (f == nullptr) {
-    return out;
-  }
-  const JsonValue* ver = f->find("schema_version");
-  if (ver == nullptr || ver->type != JsonValue::Type::Num ||
-      ver->num != 1.0) {
-    out.error = "\"flight\" missing schema_version 1";
-    return out;
-  }
-  for (const char* key : {"reason", "detail"}) {
-    const JsonValue* v = f->find(key);
-    if (v == nullptr || v->type != JsonValue::Type::Str) {
-      out.error = std::string("\"flight\" missing string \"") + key + "\"";
-      return out;
-    }
-  }
-  if (!want_num(*f, "rank", out.error, "\"flight\"") ||
-      !want_num(*f, "step", out.error, "\"flight\"")) {
-    return out;
-  }
-  if (want_obj(*f, "config", out.error, "\"flight\"") == nullptr) {
-    return out;
-  }
-  const JsonValue* health = want_arr(*f, "health", out.error, "\"flight\"");
-  if (health == nullptr) {
-    return out;
-  }
-  for (const JsonValue& h : health->arr) {
-    if (h.type != JsonValue::Type::Obj) {
-      out.error = "health sample is not an object";
-      return out;
-    }
-    const JsonValue* field = h.find("field");
-    if (field == nullptr || field->type != JsonValue::Type::Str) {
-      out.error = "health sample missing string \"field\"";
-      return out;
-    }
-    // min/max/l2 may be JSON null when no finite point exists, so only
-    // the integral fields are required numeric.
-    for (const char* key : {"step", "field_id", "nan", "inf", "bad_rank"}) {
-      if (!want_num(h, key, out.error, "health sample")) {
-        return out;
-      }
-    }
-    ++out.health_samples;
-  }
-  const JsonValue* steps = want_arr(*f, "steps", out.error, "\"flight\"");
-  if (steps == nullptr) {
-    return out;
-  }
-  for (const JsonValue& s : steps->arr) {
-    if (!want_num(s, "rank", out.error, "steps row") ||
-        !want_num(s, "step", out.error, "steps row")) {
-      return out;
-    }
-  }
-  const JsonValue* events = want_obj(*f, "events", out.error, "\"flight\"");
-  if (events == nullptr) {
-    return out;
-  }
-  SchemaCheck ev_check;
-  if (!check_events_value(*events, ev_check)) {
-    out.error = "embedded events: " + ev_check.error;
-    return out;
-  }
-  const JsonValue* trace = want_arr(*f, "trace", out.error, "\"flight\"");
-  if (trace == nullptr) {
-    return out;
-  }
-  for (const JsonValue& t : trace->arr) {
-    const JsonValue* name = t.find("name");
-    if (t.type != JsonValue::Type::Obj || name == nullptr ||
-        name->type != JsonValue::Type::Str) {
-      out.error = "trace row missing string \"name\"";
-      return out;
-    }
-    for (const char* key : {"rank", "t0_ns", "t1_ns"}) {
-      if (!want_num(t, key, out.error, "trace row")) {
-        return out;
-      }
-    }
-  }
-  const JsonValue* metrics = f->find("metrics");
-  if (metrics == nullptr || metrics->type != JsonValue::Type::Obj) {
-    out.error = "\"flight\" missing object \"metrics\"";
-    return out;
-  }
-  out.rank = static_cast<int>(f->find("rank")->num);
-  out.step = static_cast<std::int64_t>(f->find("step")->num);
-  out.reason = f->find("reason")->str;
+  const JsonValue& f = *root.find("flight");
+  out.rank = static_cast<int>(f.find("rank")->num);
+  out.step = static_cast<std::int64_t>(f.find("step")->num);
+  out.reason = f.find("reason")->str;
+  out.health_samples = static_cast<std::int64_t>(f.find("health")->arr.size());
   out.ok = true;
   return out;
 }

@@ -1,9 +1,10 @@
-// Minimal JSON parser + Chrome trace-event schema validation.
+// Minimal JSON parser + schema validation of every obs document.
 //
-// Dependency-free (the container bakes in no JSON library): a strict
-// recursive-descent parser over the full JSON grammar, plus a checker
-// for the subset of the trace-event format obs/report.cpp emits. Used
-// by tests/test_trace.cpp and the tools/trace_check CI gate.
+// Dependency-free: a strict recursive-descent parser over the full JSON
+// grammar, plus one table-driven checker (json_check.cpp holds a schema
+// table per document: key, type, required, nested table, per-row table,
+// named value rule). Used by the tests and the tools/trace_check CI
+// gate.
 #pragma once
 
 #include <cstdint>
@@ -15,10 +16,10 @@
 
 namespace jitfd::obs {
 
-/// Parsed JSON value (the full grammar; numbers as double, \u escapes
-/// collapsed). Public so schema checks beyond the built-in ones —
-/// tools/perf_sentinel's bench-report comparison in particular — can
-/// walk documents without a JSON dependency.
+/// Parsed JSON value (the full grammar; numbers as double, escapes
+/// decoded, \u escapes as UTF-8). Public so schema checks beyond the
+/// built-in ones — tools/perf_sentinel's bench-report comparison in
+/// particular — can walk documents without a JSON dependency.
 struct JsonValue {
   enum class Type { Null, Bool, Num, Str, Arr, Obj };
   Type type = Type::Null;
@@ -55,12 +56,10 @@ struct ChromeCheck {
   std::set<int> tids;          ///< Distinct tids (ranks) seen.
 };
 
-/// Parse `json` and check the Chrome trace-event schema:
-///  - top level is an object with a "traceEvents" array;
-///  - every event is an object with string "name"/"ph" and numeric
-///    "ts"/"pid"/"tid";
-///  - "X" events carry a non-negative numeric "dur";
-///  - timestamps are non-negative.
+/// Check the Chrome trace-event schema: a "traceEvents" array whose
+/// events carry string "name"/"ph"; all but metadata ("M") events also
+/// a non-negative "ts" and numeric "pid"/"tid", "X" events a
+/// non-negative "dur".
 ChromeCheck validate_chrome_trace(std::string_view json);
 
 /// Bare JSON well-formedness check (full grammar, no schema).
@@ -94,11 +93,18 @@ SchemaCheck validate_analysis_json(std::string_view json);
 /// clamp reasons. items counts trials.
 SchemaCheck validate_autotune_json(std::string_view json);
 
-/// Check the obs::events::to_json() schema: a top-level object with an
+/// Check the obs::events_json() schema: a top-level object with an
 /// "events" array (entries carry string "name"/"cat", numeric
-/// "rank"/"step"/"t_ns", and a "kv" object of numeric values) and a
-/// numeric "dropped" counter. items counts events.
+/// "rank"/"step"/"t_ns", and a "kv" object of numeric or null values)
+/// and a numeric "dropped" counter. items counts events.
 SchemaCheck validate_events_json(std::string_view json);
+
+/// Check the bench/bench_util.h series_json schema (perf sentinel
+/// input): "series" entries with "name", "median_seconds", optional
+/// "spread_pct" and "drift" {value, band} gates. items counts series;
+/// *doc receives the parsed document when given.
+SchemaCheck validate_series_json(std::string_view json,
+                                 JsonValue* doc = nullptr);
 
 /// Result of validate_flight_json.
 struct FlightCheck {
@@ -113,9 +119,9 @@ struct FlightCheck {
 /// Check the obs::flight dump-bundle schema (schema_version 1): a
 /// top-level "flight" object with string "reason"/"detail", numeric
 /// "rank"/"step", a "config" object, a "health" array of health
-/// samples, a "steps" array of {rank, step} rows, an embedded events
-/// document, a "trace" array of span rows, and an embedded metrics
-/// document.
+/// samples (min/max/l2 numeric or null), a "steps" array of {rank,
+/// step} rows, an embedded events document, a "trace" array of span
+/// rows, and an embedded metrics document.
 FlightCheck validate_flight_json(std::string_view json);
 
 /// Result of validate_prometheus_text.

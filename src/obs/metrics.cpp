@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "core/env.h"
+#include "obs/json.h"
 
 namespace jitfd::obs::metrics {
 
@@ -84,35 +85,6 @@ const char* kind_name(Snapshot::Kind k) {
     case Snapshot::Kind::Histogram: return "histogram";
   }
   return "?";
-}
-
-void append_double(std::ostringstream& os, double v) {
-  if (std::isfinite(v)) {
-    // Round-trippable, locale-independent enough for '.' locales; the
-    // build never changes the global locale.
-    std::ostringstream tmp;
-    tmp.precision(17);
-    tmp << v;
-    os << tmp.str();
-  } else {
-    os << "0";
-  }
-}
-
-std::string escape_json(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 /// Prometheus HELP text escaping: backslash and line feed only.
@@ -237,45 +209,28 @@ std::vector<Snapshot> snapshot() {
 std::string to_json() {
   const std::vector<Snapshot> snaps = snapshot();
   std::ostringstream os;
-  os << "{\n  \"metrics\": [";
-  bool first = true;
+  json::Writer w(os, json::NonFinite::Zero);
+  w.begin_object().key("metrics").begin_array();
   for (const Snapshot& s : snaps) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "    {\"name\": \"" << s.name << "\", \"type\": \""
-       << kind_name(s.kind) << "\", \"help\": \"" << escape_json(s.help)
-       << "\", ";
+    w.begin_object().field("name", s.name).field("type", kind_name(s.kind));
+    w.field("help", s.help);
     switch (s.kind) {
-      case Snapshot::Kind::Counter:
-        os << "\"value\": " << s.count << "}";
-        break;
-      case Snapshot::Kind::Gauge:
-        os << "\"value\": ";
-        append_double(os, s.value);
-        os << "}";
-        break;
-      case Snapshot::Kind::Histogram: {
-        os << "\"count\": " << s.count << ", \"sum\": ";
-        append_double(os, s.value);
-        os << ", \"buckets\": [";
-        bool bf = true;
+      case Snapshot::Kind::Counter: w.field("value", s.count); break;
+      case Snapshot::Kind::Gauge: w.field("value", s.value); break;
+      case Snapshot::Kind::Histogram:
+        w.field("count", s.count).field("sum", s.value);
+        w.key("buckets").begin_array();
         for (const auto& [le, cum] : s.buckets) {
-          if (!bf) os << ", ";
-          bf = false;
-          os << "{\"le\": ";
-          if (std::isinf(le)) {
-            os << "\"+Inf\"";
-          } else {
-            append_double(os, le);
-          }
-          os << ", \"count\": " << cum << "}";
+          w.begin_object();
+          std::isinf(le) ? w.field("le", "+Inf") : w.field("le", le);
+          w.field("count", cum).end_object();
         }
-        os << "]}";
+        w.end_array();
         break;
-      }
     }
+    w.end_object();
   }
-  os << "\n  ]\n}\n";
+  w.end_array().end_object();
   return os.str();
 }
 
@@ -298,7 +253,7 @@ std::string to_prometheus() {
         break;
       case Snapshot::Kind::Gauge:
         os << prom << " ";
-        append_double(os, s.value);
+        json::number(os, s.value, json::NonFinite::Zero);
         os << "\n";
         break;
       case Snapshot::Kind::Histogram: {
@@ -307,15 +262,12 @@ std::string to_prometheus() {
           if (std::isinf(le)) {
             os << "+Inf";
           } else {
-            std::ostringstream tmp;
-            tmp.precision(17);
-            tmp << le;
-            os << tmp.str();
+            json::number(os, le, json::NonFinite::Zero);
           }
           os << "\"} " << cum << "\n";
         }
         os << prom << "_sum ";
-        append_double(os, s.value);
+        json::number(os, s.value, json::NonFinite::Zero);
         os << "\n";
         os << prom << "_count " << s.count << "\n";
         break;

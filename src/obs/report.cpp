@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <iomanip>
 #include <map>
-#include <ostream>
 #include <set>
 #include <sstream>
+
+#include "obs/json.h"
 
 namespace jitfd::obs {
 
@@ -15,6 +15,18 @@ namespace {
 
 double sec(std::uint64_t t0, std::uint64_t t1) {
   return static_cast<double>(t1 - t0) * 1e-9;
+}
+
+/// Per-rank [earliest start, latest end] of the recorded events.
+std::map<int, std::pair<std::uint64_t, std::uint64_t>> extents(
+    const TraceData& data) {
+  std::map<int, std::pair<std::uint64_t, std::uint64_t>> out;
+  for (const TraceData::Rec& e : data.events) {
+    auto& ext = out.try_emplace(e.rank, e.t0_ns, e.t1_ns).first->second;
+    ext.first = std::min(ext.first, e.t0_ns);
+    ext.second = std::max(ext.second, e.t1_ns);
+  }
+  return out;
 }
 
 }  // namespace
@@ -73,18 +85,10 @@ RunProfile profile_from(const TraceData& data) {
   std::map<int, double> jit_run_s;
   std::map<int, double> halo_umbrella_s;
   std::map<int, double> sparse_s;
-  std::map<int, std::pair<std::uint64_t, std::uint64_t>> extent;
 
   for (const TraceData::Rec& e : data.events) {
     RankProfile& r = per_rank[e.rank];
     r.rank = e.rank;
-    auto ext = extent.find(e.rank);
-    if (ext == extent.end()) {
-      extent.emplace(e.rank, std::pair{e.t0_ns, e.t1_ns});
-    } else {
-      ext->second.first = std::min(ext->second.first, e.t0_ns);
-      ext->second.second = std::max(ext->second.second, e.t1_ns);
-    }
     const double s = sec(e.t0_ns, e.t1_ns);
     switch (e.cat) {
       case Cat::Compute:
@@ -121,6 +125,8 @@ RunProfile profile_from(const TraceData& data) {
         halo_umbrella_s[e.rank] += s;
         break;
       case Cat::Msg:
+      case Cat::Health:
+      case Cat::Solver:
         break;
       case Cat::Run:
         if (e.name == "step") {
@@ -136,26 +142,15 @@ RunProfile profile_from(const TraceData& data) {
     }
   }
 
+  const auto extent = extents(data);
   for (auto& [rank, r] : per_rank) {
-    const auto ext = extent.at(rank);
-    r.wall_s = sec(ext.first, ext.second);
+    r.wall_s = sec(extent.at(rank).first, extent.at(rank).second);
     // Generated loops carry no spans, so for pure-JIT ranks compute is
     // the jit.run umbrella minus the communication and sparse callbacks
     // nested inside it.
-    if (r.compute_s == 0.0) {
-      auto it = jit_run_s.find(rank);
-      if (it != jit_run_s.end()) {
-        double derived = it->second;
-        auto h = halo_umbrella_s.find(rank);
-        if (h != halo_umbrella_s.end()) {
-          derived -= h->second;
-        }
-        auto sp = sparse_s.find(rank);
-        if (sp != sparse_s.end()) {
-          derived -= sp->second;
-        }
-        r.compute_s = std::max(derived, 0.0);
-      }
+    if (r.compute_s == 0.0 && jit_run_s.contains(rank)) {
+      r.compute_s = std::max(
+          jit_run_s[rank] - halo_umbrella_s[rank] - sparse_s[rank], 0.0);
     }
     out.ranks.push_back(r);
   }
@@ -170,20 +165,13 @@ std::string summary_table(const TraceData& data) {
     Cat cat = Cat::Run;
   };
   std::map<int, std::map<std::string, Agg>> table;
-  std::map<int, std::pair<std::uint64_t, std::uint64_t>> extent;
   for (const TraceData::Rec& e : data.events) {
     Agg& a = table[e.rank][e.name];
     ++a.count;
     a.total_ns += e.t1_ns - e.t0_ns;
     a.cat = e.cat;
-    auto ext = extent.find(e.rank);
-    if (ext == extent.end()) {
-      extent.emplace(e.rank, std::pair{e.t0_ns, e.t1_ns});
-    } else {
-      ext->second.first = std::min(ext->second.first, e.t0_ns);
-      ext->second.second = std::max(ext->second.second, e.t1_ns);
-    }
   }
+  const auto extent = extents(data);
 
   std::ostringstream os;
   os << std::fixed;
@@ -222,86 +210,66 @@ std::string summary_table(const TraceData& data) {
   return os.str();
 }
 
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
-void write_chrome_trace(std::ostream& os, const TraceData& data) {
-  os << std::fixed << std::setprecision(3);
-  os << "{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {\"tool\": "
-        "\"jitfd-obs\", \"dropped\": "
-     << data.dropped << "},\n\"traceEvents\": [\n";
+std::string chrome_trace_string(const TraceData& data) {
+  std::ostringstream os;
+  json::Writer w(os, json::NonFinite::Null);
+  w.begin_object().field("displayTimeUnit", "ms");
+  w.key("otherData").begin_object();
+  w.field("tool", "jitfd-obs").field("dropped", data.dropped).end_object();
+  w.key("traceEvents").begin_array();
   // One named track per rank.
   std::set<int> ranks;
   for (const TraceData::Rec& e : data.events) {
     ranks.insert(e.rank);
   }
-  bool first = true;
   for (const int r : ranks) {
-    if (!first) {
-      os << ",\n";
-    }
-    first = false;
-    os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": "
-       << r << ", \"args\": {\"name\": \"rank " << r << "\"}}";
+    w.begin_object().field("name", "thread_name").field("ph", "M");
+    w.field("pid", 0).field("tid", r).key("args").begin_object();
+    w.field("name", "rank " + std::to_string(r)).end_object().end_object();
   }
   for (const TraceData::Rec& e : data.events) {
-    if (!first) {
-      os << ",\n";
-    }
-    first = false;
-    const double ts_us = static_cast<double>(e.t0_ns) * 1e-3;
-    os << "{\"name\": \"";
-    json_escape(os, e.name);
-    os << "\", \"cat\": \"" << to_string(e.cat) << "\", ";
+    w.begin_object().field("name", e.name).field("cat", to_string(e.cat));
+    const double ts_us = static_cast<double>(e.t0_ns) / 1e3;
     if (e.t1_ns > e.t0_ns) {
-      const double dur_us = static_cast<double>(e.t1_ns - e.t0_ns) * 1e-3;
-      os << "\"ph\": \"X\", \"ts\": " << ts_us << ", \"dur\": " << dur_us;
+      w.field("ph", "X").field("ts", ts_us);
+      w.field("dur", static_cast<double>(e.t1_ns - e.t0_ns) / 1e3);
     } else {
-      os << "\"ph\": \"i\", \"s\": \"t\", \"ts\": " << ts_us;
+      w.field("ph", "i").field("s", "t").field("ts", ts_us);
     }
-    os << ", \"pid\": 0, \"tid\": " << e.rank << ", \"args\": {\"a0\": "
-       << e.a0 << ", \"a1\": " << e.a1 << "}}";
+    w.field("pid", 0).field("tid", e.rank).key("args").begin_object();
+    w.field("a0", e.a0).field("a1", e.a1);
+    for (const auto& [key, value] : e.args) {
+      w.field(key, value);
+    }
+    w.end_object().end_object();
   }
-  os << "\n]\n}\n";
-}
-
-std::string chrome_trace_string(const TraceData& data) {
-  std::ostringstream os;
-  write_chrome_trace(os, data);
+  w.end_array().end_object();
   return os.str();
 }
 
-bool write_chrome_trace_file(const std::string& path,
-                             const TraceData& data) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return false;
+std::string events_json(const TraceData& data, std::size_t tail) {
+  std::vector<const TraceData::Rec*> kv;
+  for (const TraceData::Rec& e : data.events) {
+    if (!e.args.empty()) {
+      kv.push_back(&e);
+    }
   }
-  write_chrome_trace(out, data);
-  return static_cast<bool>(out);
+  const std::size_t begin = kv.size() > tail ? kv.size() - tail : 0;
+  std::ostringstream os;
+  json::Writer w(os, json::NonFinite::Null);
+  w.begin_object().key("events").begin_array();
+  for (std::size_t i = begin; i < kv.size(); ++i) {
+    const TraceData::Rec& e = *kv[i];
+    w.begin_object().field("name", e.name).field("cat", to_string(e.cat));
+    w.field("rank", e.rank).field("step", e.a0).field("t_ns", e.t0_ns);
+    w.key("kv").begin_object();
+    for (const auto& [key, value] : e.args) {
+      w.field(key, value);
+    }
+    w.end_object().end_object();
+  }
+  w.end_array().field("dropped", data.dropped).end_object();
+  return os.str();
 }
 
 }  // namespace jitfd::obs

@@ -1,28 +1,31 @@
 // Exports of the tracing subsystem (obs/trace.h):
 //
-//  1. summary_table()      — aggregated per-rank/per-phase text table,
-//                            the DEVITO_PROFILING summary analogue.
-//  2. write_chrome_trace() — Chrome trace-event JSON ("traceEvents"
-//                            complete/instant events, one track per
-//                            rank), loadable in chrome://tracing or
-//                            https://ui.perfetto.dev.
-//  3. profile_from()       — machine-readable RunProfile (per-rank
-//                            compute/pack/send/wait/unpack seconds,
-//                            message counts and bytes) consumed by
-//                            src/perfmodel's measured-vs-predicted
-//                            comparison (perfmodel/compare.h).
+//  1. summary_table()       — aggregated per-rank/per-phase text table,
+//                              the DEVITO_PROFILING summary analogue.
+//  2. chrome_trace_string() — Chrome trace-event JSON ("traceEvents"
+//                              complete/instant events, one track per
+//                              rank), loadable in chrome://tracing or
+//                              https://ui.perfetto.dev.
+//  3. events_json()         — the structured events document: every kv
+//                              instant (obs::instant with key/value
+//                              pairs), validated by trace_check --events.
+//  4. profile_from()        — machine-readable RunProfile (per-rank
+//                              compute/pack/send/wait/unpack seconds,
+//                              message counts and bytes) consumed by
+//                              src/perfmodel's measured-vs-predicted
+//                              comparison (perfmodel/compare.h).
 //
 // TraceHandle is the user-facing capability returned in a RunSummary:
 // a lazy view that snapshots the global buffers at call time, so it is
-// complete once every rank has finished (smpi::run joined, or a
+// complete once every rank has finished (smpi::launch returned, or a
 // barrier passed).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/trace.h"
 
 namespace jitfd::obs {
@@ -74,11 +77,16 @@ RunProfile profile_from(const TraceData& data);
 std::string summary_table(const TraceData& data);
 
 /// Chrome trace-event JSON. pid 0; tid = rank (one named track per
-/// rank); span args carry a0/a1.
-void write_chrome_trace(std::ostream& os, const TraceData& data);
+/// rank); args carry a0/a1 and a kv instant's pairs.
 std::string chrome_trace_string(const TraceData& data);
-/// Returns false (and writes nothing) when the file cannot be opened.
-bool write_chrome_trace_file(const std::string& path, const TraceData& data);
+
+/// The events document of the newest `tail` kv instants:
+///   {"events": [{"name": ..., "cat": ..., "rank": N, "step": N,
+///                "t_ns": N, "kv": {"key": value, ...}}, ...],
+///    "dropped": N}
+/// with step = a0, t_ns = t0_ns; non-finite values export as null.
+std::string events_json(const TraceData& data,
+                        std::size_t tail = static_cast<std::size_t>(-1));
 
 /// Capability returned by Operator::apply({.trace = true}): snapshots
 /// the global buffers at call time.
@@ -96,8 +104,9 @@ class TraceHandle {
   /// Cross-rank analysis (wait-state attribution, overlap efficiency,
   /// imbalance, strip accounting); callers include obs/analysis.h.
   AnalysisReport analysis() const;
+  /// False (nothing written) when inactive or the file cannot be written.
   bool write_chrome(const std::string& path) const {
-    return active_ && write_chrome_trace_file(path, data());
+    return active_ && json::write_file(path, chrome_trace_string(data()));
   }
 
  private:

@@ -33,34 +33,15 @@ bool reserved_key(const std::string& k) {
 bool load_series(std::string_view json, std::map<std::string, Series>& out,
                  std::string& err, const char* label) {
   JsonValue root;
-  std::string perr;
-  if (!json_parse(json, root, &perr)) {
-    err = std::string(label) + ": " + perr;
+  const SchemaCheck check = validate_series_json(json, &root);
+  if (!check.ok) {
+    err = std::string(label) + ": " + check.error;
     return false;
   }
-  if (root.type != JsonValue::Type::Obj) {
-    err = std::string(label) + ": top level is not an object";
-    return false;
-  }
-  const JsonValue* series = root.find("series");
-  if (series == nullptr || series->type != JsonValue::Type::Arr) {
-    err = std::string(label) + ": missing \"series\" array";
-    return false;
-  }
-  for (const JsonValue& s : series->arr) {
-    const JsonValue* name = s.find("name");
-    const JsonValue* med = s.find("median_seconds");
-    if (s.type != JsonValue::Type::Obj || name == nullptr ||
-        name->type != JsonValue::Type::Str || med == nullptr ||
-        med->type != JsonValue::Type::Num) {
-      err = std::string(label) +
-            ": series entry missing \"name\"/\"median_seconds\"";
-      return false;
-    }
-    Series entry;
-    entry.median_seconds = med->num;
-    if (const JsonValue* sp = s.find("spread_pct");
-        sp != nullptr && sp->type == JsonValue::Type::Num) {
+  for (const JsonValue& s : root.find("series")->arr) {
+    Series& entry = out[s.find("name")->str];
+    entry.median_seconds = s.find("median_seconds")->num;
+    if (const JsonValue* sp = s.find("spread_pct")) {
       entry.spread_pct = sp->num;
     }
     for (const auto& [k, v] : s.obj) {
@@ -68,23 +49,11 @@ bool load_series(std::string_view json, std::map<std::string, Series>& out,
         entry.counters[k] = v.num;
       }
     }
-    if (const JsonValue* drift = s.find("drift");
-        drift != nullptr && drift->type == JsonValue::Type::Obj) {
+    if (const JsonValue* drift = s.find("drift")) {
       for (const auto& [metric, g] : drift->obj) {
-        const JsonValue* value = g.find("value");
-        const JsonValue* band = g.find("band");
-        if (g.type != JsonValue::Type::Obj || value == nullptr ||
-            value->type != JsonValue::Type::Num || band == nullptr ||
-            band->type != JsonValue::Type::Num) {
-          err = std::string(label) + ": series \"" + name->str +
-                "\" drift metric \"" + metric +
-                "\" missing numeric \"value\"/\"band\"";
-          return false;
-        }
-        entry.drift[metric] = {value->num, band->num};
+        entry.drift[metric] = {g.find("value")->num, g.find("band")->num};
       }
     }
-    out[name->str] = std::move(entry);
   }
   return true;
 }

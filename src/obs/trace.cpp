@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -26,14 +27,13 @@ namespace {
 // EnableScopes. enabled() only tests != 0, so the two compose freely.
 constexpr std::uint32_t kForceBit = 1U << 31;
 
+// Event::nargs of an arg slot (headers carry at most kMaxArgs).
+constexpr std::uint8_t kArgSlot = 0xff;
+
 std::atomic<std::size_t> g_capacity{std::size_t{1} << 16};
 
 std::size_t round_pow2(std::size_t n) {
-  std::size_t p = 8;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
+  return std::bit_ceil(std::max<std::size_t>(n, 8));
 }
 
 /// Single-writer ring buffer of one thread. The owning thread is the
@@ -77,11 +77,21 @@ ThreadBuffer* attach_thread() {
   return t_buf;
 }
 
-void push(const Event& e) {
+/// Store `e` plus one arg slot per pair; one release store publishes
+/// them together.
+void push(Event e, const Arg* args = nullptr, int nargs = 0) {
   ThreadBuffer* b = t_buf != nullptr ? t_buf : attach_thread();
   const std::uint64_t h = b->head.load(std::memory_order_relaxed);
+  e.nargs = static_cast<std::uint8_t>(nargs);
   b->slots[static_cast<std::size_t>(h) & b->mask] = e;
-  b->head.store(h + 1, std::memory_order_release);
+  e.nargs = kArgSlot;
+  for (int i = 0; i < nargs; ++i) {
+    e.name = args[i].key;
+    e.a0 = std::bit_cast<std::int64_t>(args[i].value);
+    b->slots[static_cast<std::size_t>(h + 1 + i) & b->mask] = e;
+  }
+  b->head.store(h + 1 + static_cast<std::uint64_t>(nargs),
+                std::memory_order_release);
 }
 
 /// Reads JITFD_TRACE / JITFD_TRACE_RING before main. Strict-parse
@@ -106,33 +116,12 @@ const bool g_env_init = [] {
 }  // namespace
 
 const char* to_string(Cat cat) {
-  switch (cat) {
-    case Cat::Compile:
-      return "compile";
-    case Cat::Jit:
-      return "jit";
-    case Cat::Compute:
-      return "compute";
-    case Cat::Pack:
-      return "pack";
-    case Cat::Send:
-      return "send";
-    case Cat::Wait:
-      return "wait";
-    case Cat::Unpack:
-      return "unpack";
-    case Cat::Halo:
-      return "halo";
-    case Cat::Msg:
-      return "msg";
-    case Cat::Sync:
-      return "sync";
-    case Cat::Sparse:
-      return "sparse";
-    case Cat::Run:
-      return "run";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "compile", "jit",  "compute", "pack",   "send",   "wait", "unpack",
+      "halo",    "msg",  "sync",    "sparse", "health", "solver", "run"};
+  static_assert(std::size(kNames) == kCatCount, "one name per Cat");
+  const auto i = static_cast<std::size_t>(cat);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 namespace {
@@ -206,27 +195,16 @@ void span_end(const char* name, Cat cat, std::uint64_t t0_ns,
               std::int64_t a0, std::int32_t a1) {
   const std::uint64_t t1 = now_ns();
   const int depth = --t_depth;
-  Event e;
-  e.name = name;
-  e.cat = cat;
-  e.t0_ns = t0_ns;
-  e.t1_ns = t1;
-  e.a0 = a0;
-  e.a1 = a1;
-  e.depth = static_cast<std::uint8_t>(depth < 0 ? 0 : depth);
-  push(e);
+  push({name, t0_ns, t1, a0, a1, cat,
+        static_cast<std::uint8_t>(depth < 0 ? 0 : depth)});
 }
 
 void record_instant(const char* name, Cat cat, std::int64_t a0,
-                    std::int32_t a1) {
-  Event e;
-  e.name = name;
-  e.cat = cat;
-  e.t0_ns = e.t1_ns = now_ns();
-  e.a0 = a0;
-  e.a1 = a1;
-  e.depth = static_cast<std::uint8_t>(t_depth < 0 ? 0 : t_depth);
-  push(e);
+                    std::int32_t a1, const Arg* args, int nargs) {
+  const std::uint64_t t = now_ns();
+  push({name, t, t, a0, a1, cat,
+        static_cast<std::uint8_t>(t_depth < 0 ? 0 : t_depth)},
+       args, std::clamp(nargs, 0, kMaxArgs));
 }
 
 }  // namespace detail
@@ -240,8 +218,21 @@ TraceData collect() {
     const std::uint64_t cap = buf->mask + 1;
     const std::uint64_t n = h < cap ? h : cap;
     out.dropped += h - n;
+    int pending_args = 0;  // Arg slots still owed to the last header.
     for (std::uint64_t i = h - n; i < h; ++i) {
       const Event& e = buf->slots[static_cast<std::size_t>(i) & buf->mask];
+      if (e.nargs == kArgSlot) {
+        // Reattach to its header; arg slots whose header the ring has
+        // already overwritten are orphans and dropped.
+        if (pending_args > 0) {
+          out.events.back().args.emplace_back(
+              e.name != nullptr ? e.name : "?",
+              std::bit_cast<double>(e.a0));
+          --pending_args;
+        }
+        continue;
+      }
+      pending_args = e.nargs;
       TraceData::Rec rec;
       rec.name = e.name != nullptr ? e.name : "?";
       rec.cat = e.cat;
@@ -279,7 +270,7 @@ namespace {
 
 // Binary trace-file framing (host-endian; the files only ever travel
 // between rank processes of one launch on one machine).
-constexpr std::uint64_t kTraceMagic = 0x4a46445452433031ULL;  // "JFDTRC01"
+constexpr std::uint64_t kTraceMagic = 0x4a46445452433032ULL;  // "JFDTRC02"
 
 template <typename T>
 void put(std::ofstream& os, const T& v) {
@@ -289,6 +280,21 @@ void put(std::ofstream& os, const T& v) {
 template <typename T>
 bool get(std::ifstream& is, T& v) {
   is.read(reinterpret_cast<char*>(&v), sizeof(v));
+  return static_cast<bool>(is);
+}
+
+void put_str(std::ofstream& os, const std::string& s) {
+  put(os, static_cast<std::uint32_t>(s.size()));
+  os.write(s.data(), static_cast<std::streamsize>(s.size()));
+}
+
+bool get_str(std::ifstream& is, std::string& s) {
+  std::uint32_t len = 0;
+  if (!get(is, len) || len > (1U << 20)) {
+    return false;
+  }
+  s.resize(len);
+  is.read(s.data(), static_cast<std::streamsize>(len));
   return static_cast<bool>(is);
 }
 
@@ -305,8 +311,7 @@ void save_file(const std::string& path) {
   put(os, data.dropped);
   put(os, static_cast<std::uint64_t>(data.events.size()));
   for (const TraceData::Rec& r : data.events) {
-    put(os, static_cast<std::uint32_t>(r.name.size()));
-    os.write(r.name.data(), static_cast<std::streamsize>(r.name.size()));
+    put_str(os, r.name);
     put(os, static_cast<std::uint8_t>(r.cat));
     put(os, static_cast<std::int32_t>(r.rank));
     put(os, r.t0_ns);
@@ -314,6 +319,11 @@ void save_file(const std::string& path) {
     put(os, r.a0);
     put(os, r.a1);
     put(os, r.depth);
+    put(os, static_cast<std::uint8_t>(r.args.size()));
+    for (const auto& [key, value] : r.args) {
+      put_str(os, key);
+      put(os, value);
+    }
   }
   if (!os) {
     throw std::runtime_error("obs::save_file: short write to " + path);
@@ -342,19 +352,20 @@ bool import_file(const std::string& path) {
   std::vector<TraceData::Rec> recs;
   recs.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t name_len = 0;
-    if (!get(is, name_len) || name_len > (1U << 20)) {
-      return false;
-    }
     TraceData::Rec r;
-    r.name.resize(name_len);
-    is.read(r.name.data(), static_cast<std::streamsize>(name_len));
     std::uint8_t cat = 0;
     std::int32_t rank = 0;
-    if (!get(is, cat) || !get(is, rank) || !get(is, r.t0_ns) ||
-        !get(is, r.t1_ns) || !get(is, r.a0) || !get(is, r.a1) ||
-        !get(is, r.depth)) {
+    std::uint8_t nargs = 0;
+    if (!get_str(is, r.name) || !get(is, cat) || !get(is, rank) ||
+        !get(is, r.t0_ns) || !get(is, r.t1_ns) || !get(is, r.a0) ||
+        !get(is, r.a1) || !get(is, r.depth) || !get(is, nargs)) {
       return false;
+    }
+    r.args.resize(nargs);
+    for (auto& [key, value] : r.args) {
+      if (!get_str(is, key) || !get(is, value)) {
+        return false;
+      }
     }
     r.cat = static_cast<Cat>(cat);
     r.rank = rank;

@@ -3,9 +3,10 @@
 //
 // Every instrumented site records scoped spans (compile-pipeline phases,
 // JIT builds, per-timestep compute, pack/send/wait/unpack, transport
-// deliveries) into a lock-free single-writer ring buffer owned by the
+// deliveries) and structured events (kv instants: health checks, solver
+// residuals) into a lock-free single-writer ring buffer owned by the
 // recording thread. SMPI ranks are threads, so one buffer per rank falls
-// out naturally; smpi::run tags each rank thread with its rank id.
+// out naturally; smpi::launch tags each rank with its rank id.
 //
 // Cost model:
 //  - compiled out      — configure with -DJITFD_OBS=OFF: enabled() is a
@@ -14,18 +15,21 @@
 //    predicted branch per site.
 //  - enabled           — a steady_clock read at span open, and one
 //    40-byte ring-slot store (no locks, no allocation after the buffer
-//    exists) at span close.
+//    exists) at span close. A kv instant stores one header slot plus
+//    one slot per key/value pair.
 //
 // Collection (collect()/reset()) is meant for quiescent moments — after
-// smpi::run has joined its rank threads, or behind a barrier; readers do
+// smpi::launch has returned, or behind a barrier; readers do
 // not synchronize with in-flight writers beyond an acquire on the ring
-// head. Exports (Chrome trace JSON, summary table, RunProfile) live in
-// obs/report.h.
+// head. Exports (Chrome trace JSON, events document, summary table,
+// RunProfile) live in obs/report.h.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace jitfd::obs {
@@ -44,6 +48,8 @@ enum class Cat : std::uint8_t {
   Msg,      ///< Transport-level delivery events (instant).
   Sync,     ///< Barriers and collectives.
   Sparse,   ///< Off-grid source/receiver operations.
+  Health,   ///< Numerical-health checks and divergence detections.
+  Solver,   ///< Application-level events (inversion residuals, ...).
   Run,      ///< apply()-level and per-timestep umbrella spans.
 };
 
@@ -53,8 +59,10 @@ inline constexpr int kCatCount = static_cast<int>(Cat::Run) + 1;
 
 const char* to_string(Cat cat);
 
-/// One recorded event. `name` must be a string literal (stored by
-/// pointer); t0 == t1 marks an instant event.
+/// One ring slot. `name` must be a string literal (stored by pointer);
+/// t0 == t1 marks an instant event. A kv instant is a header slot with
+/// `nargs` > 0 followed by that many arg slots, each holding one key
+/// (in `name`) and the bits of its double value (in `a0`).
 struct Event {
   const char* name = nullptr;
   std::uint64_t t0_ns = 0;
@@ -63,6 +71,19 @@ struct Event {
   std::int32_t a1 = 0;  ///< Site-defined (spot id, cache-hit flag, ...).
   Cat cat = Cat::Run;
   std::uint8_t depth = 0;  ///< Span nesting depth at record time (0 = top).
+  std::uint8_t nargs = 0;  ///< Arg slots that follow; kArgSlot marks one.
+};
+static_assert(sizeof(Event) == 40, "one span must stay one 40-byte slot");
+
+/// Most key/value pairs a kv instant keeps; extra pairs are dropped.
+inline constexpr int kMaxArgs = 4;
+
+/// One key/value pair of a kv instant. `key` must be a string literal.
+struct Arg {
+  template <class T>
+  constexpr Arg(const char* k, T v) : key(k), value(static_cast<double>(v)) {}
+  const char* key;
+  double value;
 };
 
 namespace detail {
@@ -73,7 +94,8 @@ std::uint64_t span_begin();
 void span_end(const char* name, Cat cat, std::uint64_t t0_ns,
               std::int64_t a0, std::int32_t a1);
 void record_instant(const char* name, Cat cat, std::int64_t a0,
-                    std::int32_t a1);
+                    std::int32_t a1, const Arg* args = nullptr,
+                    int nargs = 0);
 
 }  // namespace detail
 
@@ -93,9 +115,10 @@ constexpr bool enabled() { return false; }
 /// before main). Idempotent; composes with EnableScope.
 void set_enabled(bool on);
 
-/// Ref-counted runtime enabler: tracing is on while any scope (on any
-/// rank thread) is alive. `ApplyArgs{.trace = true}` uses this so
-/// concurrent SPMD ranks do not turn each other's tracing off.
+/// Ref-counted runtime enabler: tracing (spans and kv instants) is on
+/// while any scope (on any rank thread) is alive. `ApplyArgs{.trace =
+/// true}` uses this so concurrent SPMD ranks do not turn each other's
+/// tracing off.
 class EnableScope {
  public:
   explicit EnableScope(bool on);
@@ -108,7 +131,7 @@ class EnableScope {
 };
 
 /// Tag the calling thread's buffer (and future buffers it creates) with
-/// an SMPI rank id. smpi::run calls this on every rank thread; untagged
+/// an SMPI rank id. smpi::launch calls this on every rank; untagged
 /// threads record as rank 0.
 void set_thread_rank(int rank);
 
@@ -165,8 +188,21 @@ inline void instant(const char* name, Cat cat, std::int64_t a0 = 0,
   }
 }
 
+/// Record a structured event: a kv instant carrying the step it refers
+/// to (as a0) and up to kMaxArgs numeric key/value pairs, e.g.
+///   obs::instant("health.check", Cat::Health, step, {{"nan", n}});
+/// These make up the events document (obs/report.h events_json).
+inline void instant(const char* name, Cat cat, std::int64_t step,
+                    std::initializer_list<Arg> args) {
+  if (enabled()) {
+    detail::record_instant(name, cat, step, 0, args.begin(),
+                           static_cast<int>(args.size()));
+  }
+}
+
 /// A snapshot of every thread's ring buffer, flattened and sorted by
-/// (rank, start time). `dropped` counts events lost to ring wraparound.
+/// (rank, start time). `dropped` counts ring slots lost to wraparound
+/// (a kv instant occupies 1 + its pair count).
 struct TraceData {
   struct Rec {
     std::string name;
@@ -177,6 +213,8 @@ struct TraceData {
     std::int64_t a0 = 0;
     std::int32_t a1 = 0;
     std::uint8_t depth = 0;
+    /// Key/value pairs; non-empty exactly for kv instants.
+    std::vector<std::pair<std::string, double>> args;
   };
   std::vector<Rec> events;
   std::uint64_t dropped = 0;

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "obs/analysis.h"
+#include "obs/json.h"
 #include "obs/report.h"
 
 namespace jitfd::perf {
@@ -281,55 +282,39 @@ std::string comparison_table(const std::vector<Comparison>& rows) {
 
 std::string comparison_json(const std::vector<Comparison>& rows) {
   std::ostringstream os;
-  os << std::fixed << std::setprecision(6);
-  os << "{\n  \"comparisons\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Comparison& c = rows[i];
-    os << "    {\n"
-       << "      \"kernel\": \"" << c.measured.kernel << "\",\n"
-       << "      \"pattern\": \"" << ir::to_string(c.measured.mode)
-       << "\",\n"
-       << "      \"ranks\": " << c.measured.ranks << ",\n"
-       << "      \"so\": " << c.measured.so << ",\n"
-       << "      \"steps\": " << c.measured.steps << ",\n"
-       << "      \"exchange_depth\": " << c.measured.exchange_depth << ",\n"
-       << "      \"tile\": [";
-    for (std::size_t d = 0; d < c.measured.tile.size(); ++d) {
-      os << (d > 0 ? ", " : "") << c.measured.tile[d];
+  obs::json::Writer w(os, obs::json::NonFinite::Null, 3);
+  w.begin_object().key("comparisons").begin_array();
+  for (const Comparison& c : rows) {
+    const MeasuredRun& m = c.measured;
+    w.begin_object().field("kernel", m.kernel);
+    w.field("pattern", ir::to_string(m.mode)).field("ranks", m.ranks);
+    w.field("so", m.so).field("steps", m.steps);
+    w.field("exchange_depth", m.exchange_depth).key("tile").begin_array();
+    for (const auto t : m.tile) {
+      w.num(t);
     }
-    os << "],\n"
-       << "      \"measured_gpts\": " << c.measured_gpts << ",\n"
-       << "      \"predicted_gpts\": " << c.predicted_gpts << ",\n"
-       << "      \"measured_comm_fraction\": " << c.measured.comm_fraction
-       << ",\n"
-       << "      \"predicted_comm_fraction\": " << c.predicted_comm_fraction
-       << ",\n"
-       << "      \"measured_messages\": " << c.measured.messages << ",\n"
-       << "      \"expected_messages\": " << c.expected_messages << ",\n"
-       << "      \"messages_match\": "
-       << (c.messages_match() ? "true" : "false") << ",\n"
-       << "      \"measured_bytes_per_step\": " << c.measured_bytes_per_step
-       << ",\n"
-       << "      \"predicted_bytes_per_step\": "
-       << c.predicted_bytes_per_step << ",\n"
-       << "      \"has_analysis\": "
-       << (c.measured.has_analysis ? "true" : "false") << ",\n"
-       << "      \"measured_overlap_efficiency\": "
-       << c.measured.overlap_efficiency << ",\n"
-       << "      \"predicted_overlap_efficiency\": "
-       << c.predicted_overlap_efficiency << ",\n"
-       << "      \"imbalance_ratio\": " << c.measured.imbalance_ratio << ",\n"
-       << "      \"late_sender_seconds\": " << c.measured.late_sender_seconds
-       << ",\n"
-       << "      \"late_receiver_seconds\": "
-       << c.measured.late_receiver_seconds << ",\n"
-       << "      \"measured_redundant_step_seconds\": "
-       << c.measured_redundant_step_seconds << ",\n"
-       << "      \"predicted_redundant_step_seconds\": "
-       << c.predicted_redundant_step_seconds << "\n"
-       << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
+    w.end_array().field("measured_gpts", c.measured_gpts);
+    w.field("predicted_gpts", c.predicted_gpts);
+    w.field("measured_comm_fraction", m.comm_fraction);
+    w.field("predicted_comm_fraction", c.predicted_comm_fraction);
+    w.field("measured_messages", m.messages);
+    w.field("expected_messages", c.expected_messages);
+    w.field("messages_match", c.messages_match());
+    w.field("measured_bytes_per_step", c.measured_bytes_per_step);
+    w.field("predicted_bytes_per_step", c.predicted_bytes_per_step);
+    w.field("has_analysis", m.has_analysis);
+    w.field("measured_overlap_efficiency", m.overlap_efficiency);
+    w.field("predicted_overlap_efficiency", c.predicted_overlap_efficiency);
+    w.field("imbalance_ratio", m.imbalance_ratio);
+    w.field("late_sender_seconds", m.late_sender_seconds);
+    w.field("late_receiver_seconds", m.late_receiver_seconds);
+    w.field("measured_redundant_step_seconds",
+            c.measured_redundant_step_seconds);
+    w.field("predicted_redundant_step_seconds",
+            c.predicted_redundant_step_seconds);
+    w.end_object();
   }
-  os << "  ]\n}\n";
+  w.end_array().end_object();
   return os.str();
 }
 

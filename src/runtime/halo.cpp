@@ -4,7 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -303,8 +302,6 @@ void HaloExchange::update(int spot, std::int64_t time) {
     return;
   }
   const obs::Span span("halo.update", obs::Cat::Halo, time, spot);
-  obs::events::emit("halo.update", obs::events::EvCat::Halo, time,
-                    {{"spot", static_cast<double>(spot)}});
   Spot& s = spots_.at(static_cast<std::size_t>(spot));
   if (mode_ == ir::MpiMode::Basic || mode_ == ir::MpiMode::None) {
     update_basic(s, time);
@@ -464,8 +461,6 @@ void HaloExchange::start(int spot, std::int64_t time) {
     return;
   }
   const obs::Span span("halo.start", obs::Cat::Halo, time, spot);
-  obs::events::emit("halo.start", obs::events::EvCat::Halo, time,
-                    {{"spot", static_cast<double>(spot)}});
   Spot& s = spots_.at(static_cast<std::size_t>(spot));
   post_star(s, time);
   ++stats_.starts;
@@ -486,10 +481,6 @@ void HaloExchange::wait(int spot) {
     return;
   }
   const obs::Span span("halo.finish", obs::Cat::Halo, 0, spot);
-  obs::events::emit(
-      "halo.finish", obs::events::EvCat::Halo,
-      inflight_time_[static_cast<std::size_t>(spot)],
-      {{"spot", static_cast<double>(spot)}});
   complete_star(s, inflight_time_[static_cast<std::size_t>(spot)]);
   sync_transport_stats();
 }

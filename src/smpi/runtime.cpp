@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/env.h"
-#include "obs/events.h"
 #include "obs/trace.h"
 
 namespace smpi {
@@ -24,7 +23,6 @@ void launch_threads(int nranks,
   for (int r = 1; r < nranks; ++r) {
     threads.emplace_back([&world, &body, &errors, r] {
       jitfd::obs::set_thread_rank(r);
-      jitfd::obs::events::set_thread_rank(r);
       Communicator comm(&world, r);
       try {
         body(comm);
@@ -35,7 +33,6 @@ void launch_threads(int nranks,
   }
   {
     jitfd::obs::set_thread_rank(0);
-    jitfd::obs::events::set_thread_rank(0);
     Communicator comm(&world, 0);
     try {
       body(comm);
@@ -73,10 +70,6 @@ void launch(const LaunchOptions& opts,
       return;
     }
   }
-}
-
-void run(int nranks, const std::function<void(Communicator&)>& body) {
-  launch(LaunchOptions{.nranks = nranks}, body);
 }
 
 }  // namespace smpi

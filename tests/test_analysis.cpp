@@ -597,7 +597,7 @@ jitfd::core::RunSummary traced_diffusion(int nranks, ir::MpiMode mode,
   jitfd::core::RunSummary rank0;
   obs::reset();
   jitfd::grid::Function::set_default_exchange_depth(exchange_depth);
-  smpi::run(nranks, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = nranks}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{1, 1},

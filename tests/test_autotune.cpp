@@ -70,7 +70,7 @@ TEST(Autotune, SerialGridSkipsTrialsAndUsesNoComm) {
 }
 
 TEST(Autotune, TrialsAllPatternsAndRestoresData) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{4, 4},
@@ -108,7 +108,7 @@ TEST(Autotune, TrialsExchangeDepthsJointlyWithPatterns) {
   // {basic, diagonal, full} x {1, 2, 4} and the winner carries both the
   // pattern and the depth into the returned operator.
   jitfd::grid::Function::set_default_exchange_depth(4);
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{4, 4},
@@ -148,7 +148,7 @@ TEST(Autotune, ClampedDepthsAreSkippedNotDuplicated) {
   // Default halo capacity (depth 1 allocation, space order 2) admits
   // depth 2 but not depth 4: the depth-4 trials must be skipped as
   // duplicates — with a recorded reason — leaving a 3x2x2 grid.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     AutotuneReport report;
@@ -246,7 +246,7 @@ TEST(Autotune, ObjectiveResolvesFromEnvRegistry) {
   // JITFD_AUTOTUNE_OBJECTIVE drives the default (FromEnv) resolution;
   // the report records which objective actually scored the trials.
   ScopedEnv objective("JITFD_AUTOTUNE_OBJECTIVE", "attributed");
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{4, 4},
@@ -264,7 +264,7 @@ TEST(Autotune, AttributedRunScoresEveryTrialAndExportsValidJson) {
   if (!obs_built()) {
     GTEST_SKIP() << "built with JITFD_OBS=OFF";
   }
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{4, 4},
@@ -317,7 +317,7 @@ TEST(Autotune, InjectedImbalancePinsRankAndRecommendsRebalance) {
   // a loaded one-core box.
   ScopedEnv delay_rank("JITFD_DELAY_RANK", std::to_string(kSlowRank));
   ScopedEnv delay_us("JITFD_DELAY_US", "4000");
-  smpi::run(4, [kSlowRank](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [kSlowRank](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{4, 4},
@@ -360,6 +360,26 @@ TEST(Autotune, ReportJsonRejectsMissingWhy) {
   EXPECT_NE(check.error.find("why"), std::string::npos) << check.error;
 }
 
+TEST(Autotune, ReportJsonEscapesControlCharacters) {
+  AutotuneReport report;
+  report.why = "line one\nline\ttwo \"quoted\" back\\slash";
+  report.seconds_by_depth[{ir::MpiMode::Basic, 1, {}}] = 0.5;
+  const std::string reason = "clamped:\n\tdepth \"4\" > halo";
+  report.skipped[{ir::MpiMode::Full, 4, {8, 8}}] = reason;
+  const std::string json = jitfd::core::autotune_report_json(report);
+  const obs::SchemaCheck check = obs::validate_autotune_json(json);
+  EXPECT_TRUE(check.ok) << check.error << "\n" << json;
+
+  obs::JsonValue root;
+  std::string err;
+  ASSERT_TRUE(obs::json_parse(json, root, &err)) << err;
+  const obs::JsonValue* a = root.find("autotune");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->find("why")->str, report.why);
+  ASSERT_EQ(a->find("skipped")->arr.size(), 1U);
+  EXPECT_EQ(a->find("skipped")->arr[0].find("reason")->str, reason);
+}
+
 TEST(Autotune, TunedOperatorMatchesSerialReference) {
   const std::int64_t n = 12;
   const int steps = 4;
@@ -374,7 +394,7 @@ TEST(Autotune, TunedOperatorMatchesSerialReference) {
     op.apply({.time_m = 0, .time_M = steps - 1, .scalars = {{"dt", dt}}});
     expected = u.gather(steps % 2);
   }
-  smpi::run(4, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{1, 1},

@@ -76,7 +76,7 @@ TEST(Codegen, DiffusionKernelStructureMatchesListing11) {
 }
 
 TEST(Codegen, BasicModeEmitsHaloUpdateInsideTimeLoop) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     ir::CompileOptions opts;
@@ -93,7 +93,7 @@ TEST(Codegen, BasicModeEmitsHaloUpdateInsideTimeLoop) {
 }
 
 TEST(Codegen, FullModeEmitsStartCoreWaitRemainderAndProgress) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({32, 32}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     ir::CompileOptions opts;
@@ -120,7 +120,7 @@ TEST(Codegen, DeepHaloEmitsStripLoopWithGuardedSubSteps) {
   // at the strip top, and each sub-step is a guarded block with its own
   // `time` constant (the last strip may be partial).
   jitfd::grid::Function::set_default_exchange_depth(2);
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     ir::CompileOptions opts;
@@ -166,7 +166,7 @@ TEST(CodegenJit, DeepHaloJitMatchesPerStepInterpreter) {
     std::vector<float> got;
     for (const int depth : {1, 2}) {
       jitfd::grid::Function::set_default_exchange_depth(2);
-      smpi::run(4, [&](smpi::Communicator& comm) {
+      smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
         const Grid g({n, n}, {1.0, 1.0}, comm);
         TimeFunction u("u", g, 2, 1);
         u.fill_global_box(0, std::vector<std::int64_t>{n / 4, n / 4},
@@ -276,7 +276,7 @@ TEST(CodegenJit, JitRunsDistributedBasicMode) {
     op.apply({.time_m = 0, .time_M = 3, .scalars = {{"dt", dt}}});
     expected = u.gather(0);
   }
-  smpi::run(2, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 2}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     const std::vector<std::int64_t> lo{1, 1};
@@ -312,7 +312,7 @@ TEST(Codegen, EnvVarSelectsPattern) {
   // Set once around the run: a rank that unset it could race another
   // rank's read.
   ::setenv("JITFD_MPI", "diag", 1);
-  smpi::run(2, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     Operator op = diffusion_operator(g, u);  // Mode None requested.
@@ -658,7 +658,7 @@ TEST(FpMode, CallerMxcsrIsRestoredAfterAThrowOutOfTheKernel) {
   jitfd::obs::flight::reset_for_testing();
   namespace health = jitfd::obs::health;
   try {
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({16, 16}, {1.0, 1.0}, comm);
       TimeFunction u("u", g, 2, 1);
       u.fill(1.0F);
@@ -682,7 +682,7 @@ TEST(FpMode, CallerMxcsrIsRestoredAfterAThrowOutOfTheKernel) {
         throw;
       }
     });
-    ADD_FAILURE() << "smpi::run should have rethrown DivergenceError";
+    ADD_FAILURE() << "smpi::launch should have rethrown DivergenceError";
   } catch (const health::DivergenceError& e) {
     std::remove(e.dump_path().c_str());
   }

@@ -92,7 +92,7 @@ TEST(Grid, RejectsInvalidShapes) {
 }
 
 TEST(Grid, DistributedDefaultTopology) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     EXPECT_TRUE(g.distributed());
     EXPECT_EQ(g.topology(), (std::vector<int>{2, 2}));
@@ -104,7 +104,7 @@ TEST(Grid, DistributedDefaultTopology) {
 TEST(Grid, NeighborPredicatesFollowCartesianTopology) {
   // 2x2 ranks on a non-periodic grid: each rank has exactly one
   // neighbour per dimension, on the side facing the domain interior.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     const auto& coords = g.cart()->my_coords();
     for (int d = 0; d < 2; ++d) {
@@ -136,7 +136,7 @@ TEST(Function, DefaultExchangeDepthScalesHaloCapacity) {
 
 TEST(Grid, CustomTopologyMatchesPaperFigure2) {
   // Paper Figure 2: 16 ranks decomposed as (4,2,2), (2,2,4), (4,4,1).
-  smpi::run(16, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 16}, [](smpi::Communicator& comm) {
     for (const auto& topo :
          {std::vector<int>{4, 2, 2}, {2, 2, 4}, {4, 4, 1}}) {
       const Grid g({16, 16, 16}, {1., 1., 1.}, comm, topo);
@@ -179,7 +179,7 @@ TEST(Function, RejectsOddSpaceOrder) {
 TEST(Function, FillGlobalBoxMatchesListing2) {
   // The paper's Listing 1, line 14: u.data[1:-1, 1:-1] = 1 on a 4x4 grid
   // over 4 ranks, each owning a 2x2 block (Listing 2 output).
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({4, 4}, {2.0, 2.0}, comm);
     TimeFunction u("u", g, 2, 2);
     const std::array<std::int64_t, 2> lo{1, 1};
@@ -209,7 +209,7 @@ TEST(Function, FillGlobalBoxMatchesListing2) {
 }
 
 TEST(Function, SetAndGetGlobalRespectOwnership) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     Function f("f", g, 2);
     const std::array<std::int64_t, 2> pt{5, 2};
@@ -223,7 +223,7 @@ TEST(Function, SetAndGetGlobalRespectOwnership) {
 }
 
 TEST(Function, GatherReassemblesGlobalArray) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({6, 6}, {1.0, 1.0}, comm);
     Function f("f", g, 2);
     // Initialize with a recognizable global pattern.
@@ -246,7 +246,7 @@ TEST(Function, GatherReassemblesGlobalArray) {
 }
 
 TEST(Function, Norm2ReducesAcrossRanks) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({4, 4}, {1.0, 1.0}, comm);
     Function f("f", g, 2);
     f.fill(2.0F);
@@ -314,7 +314,7 @@ TEST(Function, DerivativeOfProductExpressionShiftsWholeSubtree) {
 
 TEST(Function, UnevenDistributionStillCoversDomain) {
   // 7x5 grid over 3 ranks in one dimension: sizes 3,2,2.
-  smpi::run(3, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 3}, [](smpi::Communicator& comm) {
     const Grid g({7, 5}, {1.0, 1.0}, comm, {3, 1});
     Function f("f", g, 2);
     f.init([](std::span<const std::int64_t> gi) {

@@ -21,10 +21,11 @@
 
 #include "core/operator.h"
 #include "grid/function.h"
-#include "obs/events.h"
 #include "obs/flight.h"
 #include "obs/health.h"
 #include "obs/json_check.h"
+#include "obs/report.h"
+#include "obs/trace.h"
 #include "smpi/runtime.h"
 #include "symbolic/fd_ops.h"
 #include "symbolic/manip.h"
@@ -86,7 +87,7 @@ TEST_P(SeededNan, DetectedOnNextCheckAndCulpritRankNamed) {
   SKIP_WITHOUT_OBS();
   const auto [mode, depth, backend] = GetParam();
   jitfd::grid::Function::set_default_exchange_depth(depth);
-  smpi::run(4, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
     const std::int64_t n = 16;
     const Grid g({n, n}, {1.0, 1.0}, comm);
     Diffusion d(g);
@@ -271,7 +272,7 @@ TEST(Health, AbortDumpThrowsOnEveryRankAndWritesValidBundle) {
 
   std::int64_t owner = -1;
   try {
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({16, 16}, {1.0, 1.0}, comm);
       Diffusion d(g);
       d.u.fill(1.0F);
@@ -293,7 +294,7 @@ TEST(Health, AbortDumpThrowsOnEveryRankAndWritesValidBundle) {
                       .on_nan = health::OnNan::AbortDump});
       FAIL() << "apply() should have thrown DivergenceError";
     });
-    FAIL() << "smpi::run should have rethrown DivergenceError";
+    FAIL() << "smpi::launch should have rethrown DivergenceError";
   } catch (const health::DivergenceError& e) {
     EXPECT_EQ(e.step(), 0);
     EXPECT_EQ(e.rank(), static_cast<int>(owner));
@@ -321,7 +322,7 @@ TEST(Health, InjectNanHookPoisonsConfiguredRankAndStep) {
   // poisons one interior point of the checked field at the top of that
   // step on that rank; the same step's check must catch it.
   ::setenv("JITFD_INJECT_NAN", "2:1", 1);
-  smpi::run(4, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     Diffusion d(g);
     d.u.fill(1.0F);
@@ -342,8 +343,8 @@ TEST(Health, InjectNanHookPoisonsConfiguredRankAndStep) {
 
 TEST(Health, ChecksEmitStructuredEventsThatValidate) {
   SKIP_WITHOUT_OBS();
-  obs::events::EnableScope scope(true);
-  obs::events::reset();
+  obs::EnableScope scope(true);
+  obs::reset();
   const Grid g({8, 8}, {1.0, 1.0});
   Diffusion d(g);
   d.u.fill(1.0F);
@@ -352,20 +353,22 @@ TEST(Health, ChecksEmitStructuredEventsThatValidate) {
                   .time_M = 3,
                   .scalars = {{"dt", 1e-3}},
                   .health_interval = 2});
-  const obs::events::EventData data = obs::events::collect();
+  const obs::TraceData data = obs::collect();
   std::int64_t health_checks = 0;
+  std::int64_t kv_instants = 0;
   for (const auto& rec : data.events) {
+    kv_instants += rec.args.empty() ? 0 : 1;
     if (rec.name == "health.check") {
       ++health_checks;
-      EXPECT_EQ(rec.cat, obs::events::EvCat::Health);
+      EXPECT_EQ(rec.cat, obs::Cat::Health);
     }
   }
   EXPECT_EQ(health_checks, 2);  // Steps 0 and 2.
   const obs::SchemaCheck check =
-      obs::validate_events_json(obs::events::to_json(data));
+      obs::validate_events_json(obs::events_json(data));
   EXPECT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.items, static_cast<std::int64_t>(data.events.size()));
-  obs::events::reset();
+  EXPECT_EQ(check.items, kv_instants);
+  obs::reset();
 }
 
 TEST(Health, OnNanPolicyParsesAndPrints) {

@@ -64,7 +64,7 @@ TEST(Lowering, SerialDiffusionSchedule) {
 TEST(Lowering, ScheduleDumpShowsHaloSpotInsideTimeLoop) {
   // The paper's Listing 4/5: the halo exchange is scheduled inside the
   // time loop, before the stencil loop nest.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     const TimeFunction u("u", g, 2, 1);
     ir::LoweringInfo info;
@@ -90,7 +90,7 @@ TEST(Lowering, DeepHaloStripScheduleForDiffusion) {
   // substep sections whose loop bounds carry the ghost extension —
   // sub-step 0 computes one point into the ghost zone, sub-step 1 none.
   jitfd::grid::Function::set_default_exchange_depth(2);
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     const TimeFunction u("u", g, 2, 1);
     ir::LoweringInfo info;
@@ -157,7 +157,7 @@ TEST(Lowering, DeepHaloDowngradesWhenHaloCapacityTooShallow) {
   // per sub-step fills the 4-point halo) and records why it could not
   // go deeper.
   jitfd::grid::Function::set_default_exchange_depth(2);
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     const TimeFunction u("u", g, 2, 1);
     ir::LoweringInfo info;
@@ -175,7 +175,7 @@ TEST(Lowering, DeepHaloClampsOnSparseOps) {
   // Sparse injections update owned points only; ghost-zone recompute
   // would miss them, so any sparse op forces depth 1.
   jitfd::grid::Function::set_default_exchange_depth(4);
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     const TimeFunction u("u", g, 2, 1);
     ir::LoweringInfo info;
@@ -196,7 +196,7 @@ TEST(Lowering, CoupledSystemSplitsIntoTwoClusters) {
   // v is updated from tau and tau from the *new* v at nonzero offsets:
   // the flow dependence forces loop fission, and the second cluster needs
   // a halo exchange of v at t+1.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     const TimeFunction v("v", g, 4, 1);
     const TimeFunction tau("tau", g, 4, 1);
@@ -238,7 +238,7 @@ TEST(Lowering, PointwiseCoupledEquationsStayFused) {
 TEST(Lowering, ParameterFieldExchangeIsHoisted) {
   // A time-invariant field read at offsets (the TTI trig-coefficient
   // pattern) is exchanged once, before the time loop.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     const TimeFunction u("u", g, 2, 1);
     const Function c("c", g, 2);
@@ -277,7 +277,7 @@ TEST(Lowering, ParameterFieldExchangeIsHoisted) {
 TEST(Lowering, RedundantExchangeIsDropped) {
   // Two clusters read u@t at offsets but nothing writes u@t in between:
   // the second HaloSpot must be dropped (paper Section III-g).
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     const TimeFunction u("u", g, 2, 1);
     const TimeFunction a("a", g, 2, 1);
@@ -309,7 +309,7 @@ TEST(Lowering, RedundantExchangeIsDropped) {
 }
 
 TEST(Lowering, FullModeSplitsCoreAndRemainder) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     const TimeFunction u("u", g, 4, 1);
     ir::LoweringInfo info;
@@ -471,7 +471,7 @@ TEST(Lowering, RejectsReservedSymbolNamesAndDuplicateFieldNames) {
 
 TEST(Lowering, UndecomposedDimensionNeedsNoExchange) {
   // topology (4,1): reads at y-offsets only cross no rank boundary.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm, {4, 1});
     const TimeFunction u("u", g, 2, 1);
     const sym::Ex rhs = u.now() + sym::diff(u.now(), 1, 2, 2);  // d2/dy2.

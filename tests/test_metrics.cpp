@@ -8,6 +8,7 @@
 #include <limits>
 #include <string>
 
+#include "obs/analysis.h"
 #include "obs/json_check.h"
 #include "obs/metrics.h"
 
@@ -122,6 +123,26 @@ TEST_F(MetricsEnabled, ExportsCarryHelpAndValidate) {
   EXPECT_GT(pcheck.samples, 0);
 }
 
+TEST_F(MetricsEnabled, HelpWithControlCharactersRoundTrips) {
+  const std::string help = "tabbed\thelp with a \"quote\"";
+  metrics::counter("test.export.tabbed", help).add(1);
+  const std::string json = metrics::to_json();
+  const obs::SchemaCheck check = obs::validate_metrics_json(json);
+  EXPECT_TRUE(check.ok) << check.error << "\n" << json;
+
+  obs::JsonValue root;
+  std::string err;
+  ASSERT_TRUE(obs::json_parse(json, root, &err)) << err;
+  const obs::JsonValue* found = nullptr;
+  for (const obs::JsonValue& m : root.find("metrics")->arr) {
+    if (m.find("name")->str == "test.export.tabbed") {
+      found = &m;
+    }
+  }
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->find("help")->str, help);
+}
+
 TEST(MetricsValidator, PrometheusPairingViolationsAreCaught) {
   // TYPE without its HELP line.
   obs::PromCheck c = obs::validate_prometheus_text(
@@ -173,12 +194,82 @@ TEST(MetricsValidator, EventsSchemaViolationsAreCaught) {
   c = obs::validate_events_json("{\"events\": []}");
   EXPECT_FALSE(c.ok);
 
+  // A non-finite value exports as null, which the schema allows.
+  c = obs::validate_events_json(
+      "{\"events\": [{\"name\": \"e\", \"cat\": \"solver\", \"rank\": 0, "
+      "\"step\": 0, \"t_ns\": 0, \"kv\": {\"norm\": null}}], "
+      "\"dropped\": 0}");
+  EXPECT_TRUE(c.ok) << c.error;
+
   // Non-numeric kv value.
   c = obs::validate_events_json(
       "{\"events\": [{\"name\": \"e\", \"cat\": \"halo\", \"rank\": 0, "
       "\"step\": 0, \"t_ns\": 0, \"kv\": {\"x\": \"oops\"}}], "
       "\"dropped\": 0}");
   EXPECT_FALSE(c.ok);
+}
+
+TEST(MetricsValidator, NamedSchemaRulesRejectViolations) {
+  // Monotone cumulative bucket counts.
+  const std::string hist =
+      R"({"metrics": [{"name": "h", "type": "histogram", "count": 2, )"
+      R"("sum": 1, "buckets": [{"le": 1, "count": %A}, )"
+      R"({"le": "+Inf", "count": 2}]}]})";
+  const auto with = [](std::string doc, const std::string& value) {
+    return doc.replace(doc.find("%A"), 2, value);
+  };
+  EXPECT_TRUE(obs::validate_metrics_json(with(hist, "1")).ok);
+  obs::SchemaCheck c = obs::validate_metrics_json(with(hist, "3"));
+  EXPECT_NE(c.error.find("non-monotone"), std::string::npos) << c.error;
+
+  // Overlap efficiency in [0, 1].
+  std::string analysis = obs::analysis_json(obs::AnalysisReport{});
+  EXPECT_TRUE(obs::validate_analysis_json(analysis).ok);
+  const std::size_t eff = analysis.find("\"efficiency\": 0");
+  ASSERT_NE(eff, std::string::npos) << analysis;
+  analysis.replace(eff, 15, "\"efficiency\": 1.5");
+  c = obs::validate_analysis_json(analysis);
+  EXPECT_NE(c.error.find("outside [0, 1]"), std::string::npos) << c.error;
+
+  // The objective enum, and scores only the attributed objective has.
+  const std::string autotune =
+      R"({"autotune": {"objective": "%A", "why": "w", )"
+      R"("best": {"mode": "basic", "depth": 1, "tile": []}, )"
+      R"("rebalance": {"recommended": false, "rank": -1, "threshold": 1}, )"
+      R"("trials": [{"mode": "basic", "depth": 1, "tile": [], )"
+      R"("seconds": 1}], "skipped": []}})";
+  EXPECT_TRUE(obs::validate_autotune_json(with(autotune, "wall")).ok);
+  c = obs::validate_autotune_json(with(autotune, "fastest"));
+  EXPECT_NE(c.error.find("objective"), std::string::npos) << c.error;
+  c = obs::validate_autotune_json(with(autotune, "attributed"));
+  EXPECT_NE(c.error.find("score"), std::string::npos) << c.error;
+
+  // schema_version 1 and nullable health min/max/l2.
+  const std::string flight =
+      R"({"flight": {"schema_version": %A, "reason": "r", "detail": "d", )"
+      R"("rank": 0, "step": 0, "config": {}, "health": [{"step": 0, )"
+      R"("field": "u", "field_id": 0, "nan": 1, "inf": 0, "min": null, )"
+      R"("max": null, "l2": null, "bad_rank": 0}], "steps": [], )"
+      R"("events": {"events": [], "dropped": 0}, "trace": [], )"
+      R"("metrics": {}}})";
+  const obs::FlightCheck good = obs::validate_flight_json(with(flight, "1"));
+  EXPECT_TRUE(good.ok) << good.error;
+  EXPECT_EQ(good.health_samples, 1);
+  const obs::FlightCheck bad = obs::validate_flight_json(with(flight, "2"));
+  EXPECT_NE(bad.error.find("schema_version"), std::string::npos) << bad.error;
+  std::string health_min = with(flight, "1");
+  health_min.replace(health_min.find("\"min\": null"), 11, "\"min\": \"x\"");
+  EXPECT_FALSE(obs::validate_flight_json(health_min).ok);
+
+  // Non-negative trace timestamps and durations.
+  EXPECT_FALSE(obs::validate_chrome_trace(
+                   R"({"traceEvents": [{"name": "s", "ph": "X", "ts": 1, )"
+                   R"("dur": -5, "pid": 0, "tid": 1}]})")
+                   .ok);
+  EXPECT_FALSE(obs::validate_chrome_trace(
+                   R"({"traceEvents": [{"name": "i", "ph": "i", "ts": -1, )"
+                   R"("pid": 0, "tid": 1}]})")
+                   .ok);
 }
 
 }  // namespace

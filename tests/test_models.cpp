@@ -141,7 +141,7 @@ void run_mode_equivalence(int so, std::int64_t n, int steps,
 
   for (const ir::MpiMode mode :
        {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({n, n}, {1.0, 1.0}, comm);
       Model model(g, so);
       const SparseFunction src(
@@ -206,7 +206,7 @@ TEST(Models, Acoustic3DDistributedSmoke) {
                .scalars = model.scalars(model.critical_dt())});
     expected = model.wavefield().gather((steps + 1) % 3);
   }
-  smpi::run(8, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 8}, [&](smpi::Communicator& comm) {
     const Grid g({n, n, n}, {1.0, 1.0, 1.0}, comm);
     AcousticModel model(g, 4);
     model.wavefield().fill_global_box(
@@ -236,7 +236,7 @@ TEST(Models, TtiExchangesCireTemporariesEveryStep) {
   // per-step (never hoisted) halo exchange, after the p/q exchange of
   // the first cluster. The direction-cosine fields are only read at the
   // iteration point and need no exchange at all.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({12, 12}, {1.0, 1.0}, comm);
     TtiModel model(g, 4);
     ir::CompileOptions opts;
@@ -275,7 +275,7 @@ void run_3d_equivalence(ir::MpiMode mode, int so, std::int64_t n, int steps) {
     const int nb = model.wavefield().time_buffers();
     expected = model.wavefield().gather(steps % nb);
   }
-  smpi::run(8, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 8}, [&](smpi::Communicator& comm) {
     const Grid g({n, n, n}, {1.0, 1.0, 1.0}, comm);
     Model model(g, so);
     model.wavefield().fill_global_box(
@@ -338,10 +338,10 @@ void run_deep_halo_equivalence(int so, std::int64_t n, int steps, int depth) {
        {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
     // Halo capacity is fixed at Function construction; allocate deeper
     // than the requested depth needs so the planner never clamps on
-    // capacity. Set outside smpi::run: the default is process-wide and
+    // capacity. Set outside smpi::launch: the default is process-wide and
     // ranks construct their fields concurrently.
     jitfd::grid::Function::set_default_exchange_depth(2 * depth);
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({n, n}, {1.0, 1.0}, comm);
       Model model(g, so);
       model.wavefield().fill_global_box(

@@ -106,7 +106,7 @@ TEST_P(ModeEquivalence, DistributedDiffusionMatchesSerial) {
   const Grid serial({n, n}, {1.0, 1.0});
   const auto expected = run_diffusion(serial, {}, steps, dt);
 
-  smpi::run(nranks, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = nranks}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {1.0, 1.0}, comm);
     ir::CompileOptions opts;
     opts.mode = mode;
@@ -151,7 +151,7 @@ TEST(Operator, HigherOrderStencilAcrossRanks) {
 
   for (const ir::MpiMode mode :
        {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({n, n}, {1.0, 1.0}, comm);
       TimeFunction u("u", g, 8, 1);
       const std::vector<std::int64_t> lo{n / 2 - 1, n / 2 - 1};
@@ -286,7 +286,7 @@ TEST(Operator, CoupledFirstOrderSystemDistributed) {
 
   for (const ir::MpiMode mode :
        {ir::MpiMode::Basic, ir::MpiMode::Diagonal, ir::MpiMode::Full}) {
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({n, n}, {1.0, 1.0}, comm);
       ir::CompileOptions opts;
       opts.mode = mode;
@@ -303,7 +303,7 @@ TEST(Operator, CoupledFirstOrderSystemDistributed) {
 }
 
 TEST(Operator, AutoUpgradesModeOnDistributedGrids) {
-  smpi::run(2, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 2}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     Diffusion d(g);
     Operator op({d.eq});  // mode None requested.
@@ -312,7 +312,7 @@ TEST(Operator, AutoUpgradesModeOnDistributedGrids) {
 }
 
 TEST(Operator, DescribeReportsCompilationSummary) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     Diffusion d(g);
     ir::CompileOptions opts;
@@ -365,7 +365,7 @@ TEST(Operator, HaloStatsMatchTableOneMessageCounts) {
            {ir::MpiMode::Full, 12}}) {
     const ir::MpiMode m = mode;
     const std::uint64_t expect = expected_total;
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({n, n}, {1.0, 1.0}, comm);
       ir::CompileOptions opts;
       opts.mode = m;
@@ -402,7 +402,7 @@ TEST(Operator, DeepHaloAmortizesTableOneMessagesOverStrips) {
     const ir::MpiMode m = mode;
     const std::uint64_t expect = expected_per_strip;
     jitfd::grid::Function::set_default_exchange_depth(depth);
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({n, n}, {1.0, 1.0}, comm);
       ir::CompileOptions opts;
       opts.mode = m;

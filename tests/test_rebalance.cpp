@@ -255,7 +255,7 @@ TEST(GridRebalance, RankDivergentSizesRejectedOnAllRanks) {
   // Each rank requests a different biased split: the allreduce check
   // must reject the bias on EVERY rank (uniform fallback, recorded
   // clamp reason) instead of deadlocking or diverging.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     std::vector<std::int64_t> sizes{8, 4, 6, 6};
     if (comm.rank() % 2 == 1) {
       sizes = {4, 8, 6, 6};
@@ -271,7 +271,7 @@ TEST(GridRebalance, RankDivergentSizesRejectedOnAllRanks) {
 }
 
 TEST(GridRebalance, UniformRequestIsAppliedAndShrinksMinLocalSize) {
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const std::vector<std::int64_t> sizes{8, 4, 6, 6};
     const Grid g({kEdge, kEdge}, {1.0, 1.0}, comm, {4, 1}, sizes);
     EXPECT_TRUE(g.rebalance_clamp_reason().empty())
@@ -292,7 +292,7 @@ TEST(GridRebalance, PlanRebalanceClampsOnSerialAndArityMismatch) {
   EXPECT_FALSE(plan.changed);
   EXPECT_FALSE(plan.reason.empty());
 
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({kEdge, kEdge}, {1.0, 1.0}, comm, {4, 1});
     obs::AnalysisReport bad;
     bad.rank_loads.push_back({0, 1.0});  // 1 load for 4 ranks.
@@ -305,7 +305,7 @@ TEST(GridRebalance, PlanRebalanceClampsOnSerialAndArityMismatch) {
 TEST(GridRebalance, PlanRebalancePinsTheLoadedSlab) {
   // Rank-uniform loads with rank 2 three times slower: the plan must
   // shrink part 2 of the dimension-0 decomposition.
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({kEdge, kEdge}, {1.0, 1.0}, comm, {4, 1});
     obs::AnalysisReport rep;
     for (int r = 0; r < 4; ++r) {

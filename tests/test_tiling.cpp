@@ -60,7 +60,7 @@ std::vector<float> run_distributed(ir::MpiMode mode, int depth,
   const int steps = 5;  // Partial strip at depth 2.
   std::vector<float> out;
   jitfd::grid::Function::set_default_exchange_depth(2 * depth);
-  smpi::run(4, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{3, 5},
@@ -181,7 +181,7 @@ TEST(Tiling, StripSubStepsCarryTileLoops) {
   // substep section's nest must be wrapped in a dim-0 BlockLoop so both
   // backends execute the same tiled schedule inside strips.
   jitfd::grid::Function::set_default_exchange_depth(2);
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({32, 32}, {1.0, 1.0}, comm);
     const TimeFunction u("u", g, 2, 1);
     ir::LoweringInfo info;
@@ -224,7 +224,7 @@ TEST(Tiling, TimeTiledStripWalksSubStepsInsideBlockLoop) {
   // trapezoid expansion; health checks trail as guarded sub-steps.
   jitfd::grid::Function::set_default_exchange_depth(2);
   jitfd::grid::Function::set_default_time_slack(1);
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({32, 32}, {1.0, 1.0}, comm);
     const TimeFunction u("u", g, 2, 1);
     ir::LoweringInfo info;
@@ -283,7 +283,7 @@ TEST(Tiling, TimeTiledStripMatchesClassicStrip) {
     std::vector<float> out;
     jitfd::grid::Function::set_default_exchange_depth(4);
     jitfd::grid::Function::set_default_time_slack(slack);
-    smpi::run(4, [&](smpi::Communicator& comm) {
+    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
       const Grid g({n, n}, {1.0, 1.0}, comm);
       TimeFunction u("u", g, 2, 1);
       u.fill_global_box(0, std::vector<std::int64_t>{3, 5},
@@ -336,7 +336,7 @@ TEST(Tiling, TimeTileWithoutBufferSlackClampsWithReason) {
   // clobber slots later tiles still read: the request must clamp, name
   // the field, and fall back to the classic (still correct) strip walk.
   jitfd::grid::Function::set_default_exchange_depth(2);
-  smpi::run(4, [](smpi::Communicator& comm) {
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({32, 32}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     ir::CompileOptions opts;

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/operator.h"
 #include "grid/function.h"
@@ -160,6 +163,65 @@ TEST(Trace, RingWraparoundKeepsTailAndCountsDropped) {
   EXPECT_EQ(min_a0, 136);
 }
 
+TEST(Trace, KvInstantsSurviveWraparoundWithoutOrphanArgs) {
+  obs::set_enabled(true);
+  const bool obs_built = obs::enabled();
+  obs::set_enabled(false);
+  if (!obs_built) {
+    GTEST_SKIP() << "built with JITFD_OBS=OFF";
+  }
+  obs::reset();
+  obs::set_enabled(true);
+  // A record on another ring that an orphan must not attach to.
+  obs::instant("test.main", obs::Cat::Solver, 0, {{"m", 1}});
+  obs::set_ring_capacity(16);
+  // Six slots per iteration: a two-pair kv instant (3 slots), a plain
+  // instant (1) and a one-pair kv instant (2). Ten iterations write 60
+  // slots; the ring keeps slots 44..59, so slot 44 is the second arg of
+  // iteration 7's two-pair instant, whose header was overwritten.
+  std::thread writer([] {
+    obs::set_thread_rank(6);
+    for (int i = 0; i < 10; ++i) {
+      obs::instant("test.kv2", obs::Cat::Solver, i,
+                   {{"i", i}, {"twice", 2 * i}});
+      obs::instant("test.plain", obs::Cat::Msg, i);
+      obs::instant("test.kv1", obs::Cat::Health, i, {{"neg", -i}});
+    }
+  });
+  writer.join();
+  obs::set_enabled(false);
+  const obs::TraceData data = obs::collect();
+  obs::set_ring_capacity(std::size_t{1} << 16);  // Restore the default.
+
+  std::vector<std::string> names;
+  for (const auto& e : data.events) {
+    if (e.name == "test.main") {
+      EXPECT_EQ(e.args.size(), 1U);
+    }
+    if (e.rank != 6) {
+      continue;
+    }
+    names.push_back(e.name + "@" + std::to_string(e.a0));
+    using Args = std::vector<std::pair<std::string, double>>;
+    if (e.name == "test.kv2") {
+      EXPECT_EQ(e.args, (Args{{"i", e.a0}, {"twice", 2.0 * e.a0}}));
+    } else if (e.name == "test.kv1") {
+      EXPECT_EQ(e.args, (Args{{"neg", -e.a0}}));
+    } else {
+      EXPECT_TRUE(e.args.empty()) << e.name;
+    }
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "test.plain@7", "test.kv1@7", "test.kv2@8",
+                       "test.plain@8", "test.kv1@8", "test.kv2@9",
+                       "test.plain@9", "test.kv1@9"}));
+  EXPECT_EQ(data.dropped, 44U);
+  const obs::SchemaCheck check =
+      obs::validate_events_json(obs::events_json(data));
+  EXPECT_TRUE(check.ok) << check.error;
+  EXPECT_EQ(check.items, 6);
+}
+
 // A traced 4-rank diffusion run used by the export/perfmodel tests.
 struct TracedRun {
   jitfd::core::RunSummary rank0;
@@ -174,7 +236,7 @@ TracedRun traced_diffusion(
   out.global_points = n * n;
   obs::reset();
   jitfd::grid::Function::set_default_exchange_depth(exchange_depth);
-  smpi::run(nranks, [&](smpi::Communicator& comm) {
+  smpi::launch({.nranks = nranks}, [&](smpi::Communicator& comm) {
     const Grid g({n, n}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     u.fill_global_box(0, std::vector<std::int64_t>{1, 1},

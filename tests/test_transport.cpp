@@ -2,7 +2,8 @@
 // observably identical to the threads transport through the public
 // Communicator surface — p2p matching, Request wait/test, collectives,
 // the error contract (first failure by rank order, rank 0 with its
-// original type), trace aggregation, and bitwise solver results.
+// original type), trace and kv-instant aggregation, and bitwise solver
+// results.
 //
 // gtest caveat under process_shm: EXPECT/ASSERT failures inside forked
 // rank processes are invisible to the parent's test result. Every check
@@ -16,11 +17,14 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "models/acoustic.h"
 #include "models/elastic.h"
 #include "models/tti.h"
+#include "obs/json_check.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 #include "smpi/cart.h"
 #include "smpi/runtime.h"
@@ -286,6 +290,50 @@ TEST_P(TransportParity, FirstErrorByRankOrderWins) {
     EXPECT_NE(what.find("boom from 1"), std::string::npos) << what;
     EXPECT_EQ(what.find("boom from 3"), std::string::npos) << what;
   }
+}
+
+TEST_P(TransportParity, EveryRanksKvInstantSurvivesTheLaunch) {
+  obs::set_enabled(true);
+  const bool obs_built = obs::enabled();
+  obs::set_enabled(false);
+  if (!obs_built) {
+    GTEST_SKIP() << "built with JITFD_OBS=OFF";
+  }
+  obs::reset();
+  {
+    const obs::EnableScope scope(true);  // Inherited by forked children.
+    smpi::launch({.nranks = 3, .transport = GetParam()},
+                 [](Communicator& comm) {
+                   obs::instant("transport.kv_probe", obs::Cat::Solver,
+                                10 + comm.rank(),
+                                {{"rank", comm.rank()},
+                                 {"half", 0.5},
+                                 {"big", 1e300}});
+                   comm.barrier();
+                 });
+  }
+  const obs::TraceData data = obs::collect();
+  int seen[3] = {0, 0, 0};
+  for (const auto& rec : data.events) {
+    if (rec.name != "transport.kv_probe") {
+      continue;
+    }
+    ASSERT_TRUE(rec.rank >= 0 && rec.rank < 3) << rec.rank;
+    ++seen[rec.rank];
+    EXPECT_EQ(rec.cat, obs::Cat::Solver);
+    EXPECT_EQ(rec.a0, 10 + rec.rank);
+    const std::vector<std::pair<std::string, double>> want = {
+        {"rank", rec.rank}, {"half", 0.5}, {"big", 1e300}};
+    EXPECT_EQ(rec.args, want) << "rank " << rec.rank;
+  }
+  EXPECT_EQ(seen[0], 1);
+  EXPECT_EQ(seen[1], 1);  // Spooled by the rank-1 process under process_shm.
+  EXPECT_EQ(seen[2], 1);
+  const obs::SchemaCheck check =
+      obs::validate_events_json(obs::events_json(data));
+  EXPECT_TRUE(check.ok) << check.error;
+  EXPECT_EQ(check.items, 3);
+  obs::reset();
 }
 
 // --- Error contract specifics of process_shm --------------------------------

@@ -18,25 +18,13 @@
 //
 // Exit codes: 0 pass, 1 regression, 2 usage or malformed input.
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
+#include "obs/json.h"
 #include "obs/sentinel.h"
 
 namespace {
-
-bool slurp(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
 
 std::string arg_value(int argc, char** argv, const char* key,
                       const std::string& fallback) {
@@ -88,11 +76,11 @@ int main(int argc, char** argv) {
 
   std::string baseline_json;
   std::string fresh_json;
-  if (!slurp(baseline_path, baseline_json)) {
+  if (!jitfd::obs::json::read_file(baseline_path, baseline_json)) {
     std::cerr << "perf_sentinel: cannot open " << baseline_path << '\n';
     return 2;
   }
-  if (!slurp(fresh_path, fresh_json)) {
+  if (!jitfd::obs::json::read_file(fresh_path, fresh_json)) {
     std::cerr << "perf_sentinel: cannot open " << fresh_path << '\n';
     return 2;
   }

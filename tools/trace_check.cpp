@@ -13,31 +13,27 @@
 // obs::analysis_json() report, --autotune a
 // core::autotune_report_json() report (rejecting reports missing the
 // "why" decision string or, under the attributed objective, the
-// per-trial AnalysisScore), --events an obs::events::to_json()
-// export, and --flight a flight-recorder bundle; --expect-rank /
+// per-trial AnalysisScore), --events an obs::events_json() export,
+// and --flight a flight-recorder bundle; --expect-rank /
 // --expect-step additionally assert the bundle's culprit rank and
 // step. Exits 0 when every given file passes; prints the first
 // violation and exits 1 otherwise.
+#include <algorithm>
 #include <cstdlib>
-#include <fstream>
+#include <functional>
 #include <iostream>
-#include <sstream>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "obs/json.h"
 #include "obs/json_check.h"
 
 namespace {
 
-bool slurp(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
+namespace obs = jitfd::obs;
 
 int usage() {
   std::cerr << "usage: trace_check [trace.json] [--min-ranks N] "
@@ -47,196 +43,131 @@ int usage() {
   return 2;
 }
 
+/// Validates one document: the first violation ("" when it passes),
+/// with what was seen written to `seen`.
+using Check = std::function<std::string(const std::string&, std::string&)>;
+
+Check schema(obs::SchemaCheck (*validate)(std::string_view),
+             const char* unit) {
+  return [validate, unit](const std::string& json, std::string& seen) {
+    const obs::SchemaCheck c = validate(json);
+    seen = std::to_string(c.items) + " " + unit;
+    return c.ok ? std::string() : c.error;
+  };
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path;
-  std::string metrics_path;
-  std::string analysis_path;
-  std::string autotune_path;
-  std::string events_path;
-  std::string flight_path;
-  int min_ranks = 1;
-  long min_events = 1;
-  long expect_rank = -1;
-  long expect_step = -1;
-  bool have_expect_rank = false;
-  bool have_expect_step = false;
+  // Flag -> value; "trace" holds the positional Chrome trace path.
+  std::map<std::string, std::string> args;
+  const std::set<std::string> flags = {
+      "--min-ranks", "--min-events", "--metrics",     "--analysis",
+      "--autotune",  "--events",     "--flight",      "--expect-rank",
+      "--expect-step"};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--min-ranks" && i + 1 < argc) {
-      min_ranks = std::atoi(argv[++i]);
-    } else if (arg == "--min-events" && i + 1 < argc) {
-      min_events = std::atol(argv[++i]);
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (arg == "--analysis" && i + 1 < argc) {
-      analysis_path = argv[++i];
-    } else if (arg == "--autotune" && i + 1 < argc) {
-      autotune_path = argv[++i];
-    } else if (arg == "--events" && i + 1 < argc) {
-      events_path = argv[++i];
-    } else if (arg == "--flight" && i + 1 < argc) {
-      flight_path = argv[++i];
-    } else if (arg == "--expect-rank" && i + 1 < argc) {
-      expect_rank = std::atol(argv[++i]);
-      have_expect_rank = true;
-    } else if (arg == "--expect-step" && i + 1 < argc) {
-      expect_step = std::atol(argv[++i]);
-      have_expect_step = true;
-    } else if (path.empty() && arg[0] != '-') {
-      path = arg;
+    if (flags.contains(arg) && i + 1 < argc) {
+      args[arg] = argv[++i];
+    } else if (!args.contains("trace") && arg[0] != '-') {
+      args["trace"] = arg;
     } else {
       return usage();
     }
   }
-  if (path.empty() && metrics_path.empty() && analysis_path.empty() &&
-      autotune_path.empty() && events_path.empty() && flight_path.empty()) {
-    std::cerr << "trace_check: no input file\n";
-    return 2;
-  }
-  if ((have_expect_rank || have_expect_step) && flight_path.empty()) {
+  const auto num = [&args](const std::string& flag, long fallback) {
+    const auto it = args.find(flag);
+    return it == args.end() ? fallback : std::atol(it->second.c_str());
+  };
+  const long min_ranks = num("--min-ranks", 1);
+  const long min_events = num("--min-events", 1);
+  if ((args.contains("--expect-rank") || args.contains("--expect-step")) &&
+      !args.contains("--flight")) {
     std::cerr << "trace_check: --expect-rank/--expect-step need --flight\n";
     return 2;
   }
 
-  if (!path.empty()) {
-    std::string json;
-    if (!slurp(path, json)) {
+  const std::vector<std::pair<std::string, Check>> checks = {
+      {"trace",
+       [&](const std::string& json, std::string& seen) {
+         const obs::ChromeCheck c = obs::validate_chrome_trace(json);
+         seen = std::to_string(c.events) + " events, " +
+                std::to_string(c.complete) + " spans, " +
+                std::to_string(c.instants) + " instants, " +
+                std::to_string(c.tids.size()) + " rank tracks";
+         if (!c.ok) {
+           return c.error;
+         }
+         if (static_cast<long>(c.tids.size()) < min_ranks) {
+           return "expected >= " + std::to_string(min_ranks) +
+                  " rank tracks, found " + std::to_string(c.tids.size());
+         }
+         return c.events < min_events
+                    ? "expected >= " + std::to_string(min_events) +
+                          " events, found " + std::to_string(c.events)
+                    : std::string();
+       }},
+      {"--metrics",
+       [](const std::string& body, std::string& seen) {
+         // JSON export starts with '{'; anything else is Prometheus text.
+         const std::size_t first = body.find_first_not_of(" \t\r\n");
+         if (first != std::string::npos && body[first] == '{') {
+           return schema(obs::validate_metrics_json, "metrics")(body, seen);
+         }
+         const obs::PromCheck c = obs::validate_prometheus_text(body);
+         seen = std::to_string(c.types) + " families, " +
+                std::to_string(c.helps) + " help lines, " +
+                std::to_string(c.samples) + " samples";
+         return c.ok ? std::string() : c.error;
+       }},
+      {"--analysis", schema(obs::validate_analysis_json, "sections")},
+      {"--autotune", schema(obs::validate_autotune_json, "trials")},
+      {"--events", schema(obs::validate_events_json, "events")},
+      {"--flight",
+       [&](const std::string& json, std::string& seen) {
+         const obs::FlightCheck c = obs::validate_flight_json(json);
+         seen = "reason \"" + c.reason + "\", rank " +
+                std::to_string(c.rank) + ", step " + std::to_string(c.step) +
+                ", " + std::to_string(c.health_samples) + " health samples";
+         if (!c.ok) {
+           return c.error;
+         }
+         for (const auto& [what, got] :
+              {std::pair<std::string, long>{"rank", c.rank},
+               std::pair<std::string, long>{"step", c.step}}) {
+           const long want = num("--expect-" + what, got);
+           if (got != want) {
+             return "expected " + what + " " + std::to_string(want) +
+                    ", bundle names " + what + " " + std::to_string(got);
+           }
+         }
+         return std::string();
+       }},
+  };
+
+  if (std::none_of(checks.begin(), checks.end(),
+                   [&](const auto& c) { return args.contains(c.first); })) {
+    std::cerr << "trace_check: no input file\n";
+    return 2;
+  }
+  for (const auto& [mode, check] : checks) {
+    const auto file = args.find(mode);
+    if (file == args.end()) {
+      continue;
+    }
+    const std::string& path = file->second;
+    std::string body;
+    if (!jitfd::obs::json::read_file(path, body)) {
       std::cerr << "trace_check: cannot open " << path << '\n';
       return 1;
     }
-    const jitfd::obs::ChromeCheck check =
-        jitfd::obs::validate_chrome_trace(json);
-    if (!check.ok) {
-      std::cerr << "trace_check: " << path << ": " << check.error << '\n';
+    std::string seen;
+    const std::string error = check(body, seen);
+    if (!error.empty()) {
+      std::cerr << "trace_check: " << path << ": " << error << '\n';
       return 1;
     }
-    if (static_cast<int>(check.tids.size()) < min_ranks) {
-      std::cerr << "trace_check: " << path << ": expected >= " << min_ranks
-                << " rank tracks, found " << check.tids.size() << '\n';
-      return 1;
-    }
-    if (check.events < min_events) {
-      std::cerr << "trace_check: " << path << ": expected >= " << min_events
-                << " events, found " << check.events << '\n';
-      return 1;
-    }
-    std::cout << "trace_check: " << path << ": ok (" << check.events
-              << " events, " << check.complete << " spans, " << check.instants
-              << " instants, " << check.tids.size() << " rank tracks)\n";
-  }
-
-  if (!metrics_path.empty()) {
-    std::string body;
-    if (!slurp(metrics_path, body)) {
-      std::cerr << "trace_check: cannot open " << metrics_path << '\n';
-      return 1;
-    }
-    // JSON export starts with '{'; anything else is Prometheus text.
-    const std::size_t first = body.find_first_not_of(" \t\r\n");
-    if (first != std::string::npos && body[first] == '{') {
-      const jitfd::obs::SchemaCheck check =
-          jitfd::obs::validate_metrics_json(body);
-      if (!check.ok) {
-        std::cerr << "trace_check: " << metrics_path << ": " << check.error
-                  << '\n';
-        return 1;
-      }
-      std::cout << "trace_check: " << metrics_path << ": ok (" << check.items
-                << " metrics)\n";
-    } else {
-      const jitfd::obs::PromCheck check =
-          jitfd::obs::validate_prometheus_text(body);
-      if (!check.ok) {
-        std::cerr << "trace_check: " << metrics_path << ": " << check.error
-                  << '\n';
-        return 1;
-      }
-      std::cout << "trace_check: " << metrics_path << ": ok (" << check.types
-                << " families, " << check.helps << " help lines, "
-                << check.samples << " samples)\n";
-    }
-  }
-
-  if (!analysis_path.empty()) {
-    std::string json;
-    if (!slurp(analysis_path, json)) {
-      std::cerr << "trace_check: cannot open " << analysis_path << '\n';
-      return 1;
-    }
-    const jitfd::obs::SchemaCheck check =
-        jitfd::obs::validate_analysis_json(json);
-    if (!check.ok) {
-      std::cerr << "trace_check: " << analysis_path << ": " << check.error
-                << '\n';
-      return 1;
-    }
-    std::cout << "trace_check: " << analysis_path << ": ok (" << check.items
-              << " sections)\n";
-  }
-
-  if (!autotune_path.empty()) {
-    std::string json;
-    if (!slurp(autotune_path, json)) {
-      std::cerr << "trace_check: cannot open " << autotune_path << '\n';
-      return 1;
-    }
-    const jitfd::obs::SchemaCheck check =
-        jitfd::obs::validate_autotune_json(json);
-    if (!check.ok) {
-      std::cerr << "trace_check: " << autotune_path << ": " << check.error
-                << '\n';
-      return 1;
-    }
-    std::cout << "trace_check: " << autotune_path << ": ok (" << check.items
-              << " trials)\n";
-  }
-
-  if (!events_path.empty()) {
-    std::string json;
-    if (!slurp(events_path, json)) {
-      std::cerr << "trace_check: cannot open " << events_path << '\n';
-      return 1;
-    }
-    const jitfd::obs::SchemaCheck check =
-        jitfd::obs::validate_events_json(json);
-    if (!check.ok) {
-      std::cerr << "trace_check: " << events_path << ": " << check.error
-                << '\n';
-      return 1;
-    }
-    std::cout << "trace_check: " << events_path << ": ok (" << check.items
-              << " events)\n";
-  }
-
-  if (!flight_path.empty()) {
-    std::string json;
-    if (!slurp(flight_path, json)) {
-      std::cerr << "trace_check: cannot open " << flight_path << '\n';
-      return 1;
-    }
-    const jitfd::obs::FlightCheck check =
-        jitfd::obs::validate_flight_json(json);
-    if (!check.ok) {
-      std::cerr << "trace_check: " << flight_path << ": " << check.error
-                << '\n';
-      return 1;
-    }
-    if (have_expect_rank && check.rank != expect_rank) {
-      std::cerr << "trace_check: " << flight_path << ": expected rank "
-                << expect_rank << ", bundle names rank " << check.rank << '\n';
-      return 1;
-    }
-    if (have_expect_step && check.step != expect_step) {
-      std::cerr << "trace_check: " << flight_path << ": expected step "
-                << expect_step << ", bundle names step " << check.step << '\n';
-      return 1;
-    }
-    std::cout << "trace_check: " << flight_path << ": ok (reason \""
-              << check.reason << "\", rank " << check.rank << ", step "
-              << check.step << ", " << check.health_samples
-              << " health samples)\n";
+    std::cout << "trace_check: " << path << ": ok (" << seen << ")\n";
   }
   return 0;
 }
