@@ -59,7 +59,7 @@ struct CompileOptions {
   /// LoweringInfo::tile_clamp_reason, as are tiles that cannot fit the
   /// smallest rank-local extent (clamping must be rank-uniform or
   /// collective trial grids would diverge across ranks).
-  std::vector<std::int64_t> tile;
+  std::vector<std::int64_t> tile = {};
   /// Walk the exchange_depth sub-steps of a communication-avoiding strip
   /// tile-by-tile (outermost dimension) instead of sub-step-by-sub-step,
   /// so a tile's data stays cache-resident across the k sub-steps.

@@ -112,13 +112,13 @@ KernelSpec acoustic_spec(bool derive) {
   s.fields = 5;
   s.comm_fields = 1;  // u@t.
   s.nspots = 1;
-  s.flops_by_so = {{4, 64}, {8, 105}, {12, 145}, {16, 184}};
+  s.flops_by_so = {{4, 37}, {8, 55}, {12, 73}, {16, 91}};
   s.strong_domain = {{Target::Cpu, 1024}, {Target::Gpu, 1158}};
   s.timesteps = 290;
   s.eff_bw = {{Target::Cpu, 0.726}, {Target::Gpu, 0.306}};
   s.eff_flop = {{Target::Cpu, 0.35}, {Target::Gpu, 0.30}};
-    s.net_eff = {{Target::Cpu, 0.353}, {Target::Gpu, 0.390}};
-return finish(std::move(s), derive);
+  s.net_eff = {{Target::Cpu, 0.353}, {Target::Gpu, 0.390}};
+  return finish(std::move(s), derive);
 }
 
 KernelSpec tti_spec(bool derive) {
@@ -127,13 +127,13 @@ KernelSpec tti_spec(bool derive) {
   s.fields = 12;
   s.comm_fields = 4;  // p@t, q@t and the CIRE temporaries zdp, zdq.
   s.nspots = 2;
-  s.flops_by_so = {{4, 592}, {8, 1134}, {12, 1647}, {16, 2170}};
+  s.flops_by_so = {{4, 184}, {8, 298}, {12, 412}, {16, 526}};
   s.strong_domain = {{Target::Cpu, 1024}, {Target::Gpu, 896}};
   s.timesteps = 290;
   s.eff_bw = {{Target::Cpu, 0.50}, {Target::Gpu, 0.22}};
   s.eff_flop = {{Target::Cpu, 0.42}, {Target::Gpu, 0.65}};
-    s.net_eff = {{Target::Cpu, 0.588}, {Target::Gpu, 0.791}};
-return finish(std::move(s), derive);
+  s.net_eff = {{Target::Cpu, 0.588}, {Target::Gpu, 0.791}};
+  return finish(std::move(s), derive);
 }
 
 KernelSpec elastic_spec(bool derive) {
@@ -147,8 +147,8 @@ KernelSpec elastic_spec(bool derive) {
   s.timesteps = 363;
   s.eff_bw = {{Target::Cpu, 0.43}, {Target::Gpu, 0.23}};
   s.eff_flop = {{Target::Cpu, 0.08}, {Target::Gpu, 0.092}};
-    s.net_eff = {{Target::Cpu, 0.180}, {Target::Gpu, 0.442}};
-return finish(std::move(s), derive);
+  s.net_eff = {{Target::Cpu, 0.180}, {Target::Gpu, 0.442}};
+  return finish(std::move(s), derive);
 }
 
 KernelSpec viscoelastic_spec(bool derive) {
@@ -163,8 +163,8 @@ KernelSpec viscoelastic_spec(bool derive) {
   s.timesteps = 251;
   s.eff_bw = {{Target::Cpu, 0.47}, {Target::Gpu, 0.20}};
   s.eff_flop = {{Target::Cpu, 0.052}, {Target::Gpu, 0.056}};
-    s.net_eff = {{Target::Cpu, 0.280}, {Target::Gpu, 0.621}};
-return finish(std::move(s), derive);
+  s.net_eff = {{Target::Cpu, 0.280}, {Target::Gpu, 0.621}};
+  return finish(std::move(s), derive);
 }
 
 std::vector<KernelSpec> all_kernel_specs(bool derive) {

@@ -80,10 +80,19 @@ Stencil1D central_stencil(int deriv_order, int space_order) {
     nodes.push_back(static_cast<double>(k));
   }
   st.weights = fornberg_weights(deriv_order, 0.0, nodes);
-  // A central first derivative has an exactly-zero centre weight; snap the
-  // rounding residue so downstream simplification drops the term.
-  if (deriv_order == 1) {
-    st.weights[static_cast<std::size_t>(r)] = 0.0;
+  // On symmetric nodes the exact weights are mirror-symmetric (even
+  // derivative) or antisymmetric (odd), but Fornberg's recurrence rounds
+  // the two sides differently in the last bits. Snap them to exact
+  // (anti)symmetry so factorize can pair mirror taps under one shared
+  // coefficient; a central first derivative's centre weight becomes 0 and
+  // downstream simplification drops the term.
+  const double sign = deriv_order % 2 == 0 ? 1.0 : -1.0;
+  for (int k = 0; k <= r; ++k) {
+    double& lo = st.weights[static_cast<std::size_t>(r - k)];
+    double& hi = st.weights[static_cast<std::size_t>(r + k)];
+    const double w = 0.5 * (hi + sign * lo);
+    hi = w;
+    lo = sign * w;
   }
   return st;
 }

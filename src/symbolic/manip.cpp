@@ -159,7 +159,17 @@ Ex solve(const Ex& lhs, const Ex& rhs, const Ex& target) {
   if (p.coeff.is_zero()) {
     throw std::domain_error("solve: equation does not involve the target");
   }
-  return expand(-p.rest / p.coeff);
+  // Fold the sign into the top-level terms of `rest` (each absorbs it in
+  // its numeric coefficient) rather than multiplying the sum by -1.
+  std::vector<Ex> negated;
+  if (p.rest.kind() == Kind::Add) {
+    for (const Ex& t : p.rest.node().args) {
+      negated.push_back(-t);
+    }
+  } else {
+    negated.push_back(-p.rest);
+  }
+  return make_add(std::move(negated)) / p.coeff;
 }
 
 std::vector<Ex> field_accesses(const Ex& e) {

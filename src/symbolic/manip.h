@@ -38,8 +38,12 @@ LinearParts collect_linear(const Ex& e, const Ex& target);
 Ex expand(const Ex& e);
 
 /// Solve `lhs == rhs` for `target` (which must appear linearly):
-/// returns the expanded expression the target equals. Mirrors
-/// devito.solve().
+/// returns -rest/coeff, the expression the target equals, unexpanded
+/// (the sign is folded into the top-level terms of rest). Mirrors
+/// devito.solve(). Keeping the quotient factored lets lowering
+/// apply the reciprocal of the time-stencil coefficient (and any medium
+/// factors around a stencil sum) once per point; expand() the result
+/// for a canonical polynomial form.
 Ex solve(const Ex& lhs, const Ex& rhs, const Ex& target);
 
 /// All FieldAccess leaves in `e`, in deterministic (traversal) order,

@@ -5,6 +5,8 @@
 
 #include "grid/function.h"
 #include "ir/lower.h"
+#include "models/acoustic.h"
+#include "models/tti.h"
 #include "smpi/runtime.h"
 #include "symbolic/fd_ops.h"
 #include "symbolic/manip.h"
@@ -368,6 +370,48 @@ TEST(Lowering, FlopReductionLowersOperationCount) {
   };
 
   EXPECT_LT(flops_of(true), flops_of(false));
+}
+
+TEST(Lowering, SolvedUpdatesStayFactored) {
+  // solve() returns -rest/coeff unexpanded, so the time-stencil
+  // reciprocal and the medium factors multiply the stencil sum once per
+  // point instead of once per tap. Re-expanding the update would put
+  // acoustic so8 back at 105 flops/pt and TTI so8 at 1134.
+  const Grid g({8, 8, 8}, {1.0, 1.0, 1.0});
+  jitfd::models::AcousticModel ac(g, 8);
+  jitfd::models::TtiModel tti(g, 8);
+  auto op_ac = ac.make_operator({});
+  auto op_tti = tti.make_operator({});
+  const auto facts_ac = jitfd::models::analyze(*op_ac, "acoustic", 8, 5);
+  const auto facts_tti = jitfd::models::analyze(*op_tti, "tti", 8, 16);
+  EXPECT_LE(facts_ac.flops_per_point, 70);
+  EXPECT_LE(facts_tti.flops_per_point, 320);
+
+  // The acoustic update divides once per point: a single reciprocal
+  // among the statements inside the time loop.
+  int reciprocals = 0;
+  const std::function<void(const ir::NodePtr&)> visit =
+      [&](const ir::NodePtr& n) {
+        if (n->type == ir::NodeType::Expression) {
+          sym::walk(n->value, [&](const sym::Ex& sub) {
+            const auto& args = sub.node().args;
+            if (sub.kind() == sym::Kind::Pow && args[1].is_number() &&
+                args[1].number() < 0.0) {
+              ++reciprocals;
+            }
+          });
+          return;
+        }
+        for (const auto& c : n->body) {
+          visit(c);
+        }
+      };
+  for (const auto& top : op_ac->iet()->body) {
+    if (top->type == ir::NodeType::TimeLoop) {
+      visit(top);
+    }
+  }
+  EXPECT_EQ(reciprocals, 1);
 }
 
 TEST(Lowering, TilingWrapsOuterLoopInBlockLoop) {

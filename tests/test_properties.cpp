@@ -130,6 +130,38 @@ TEST(ExprProperties, TransformationsPreserveValue) {
   }
 }
 
+TEST(ExprProperties, FactoredSolveEvaluatesLikeItsExpansion) {
+  // solve() returns -rest/coeff unexpanded; at random bindings it must
+  // agree with its expansion and with the closed-form root of
+  // c*(x - q) + r == 0, i.e. x = q - r/c.
+  std::mt19937 rng(20261017);
+  std::uniform_real_distribution<double> magnitude(0.5, 2.0);
+  std::bernoulli_distribution negative(0.5);
+  const Ex x = sym::symbol("x");
+  for (int trial = 0; trial < 200; ++trial) {
+    const Ex c = random_expr(rng, 2);
+    const Ex q = random_expr(rng, 2);
+    const Ex r = random_expr(rng, 2);
+    std::map<std::string, double> env;
+    for (const char* name : {"a", "b", "c", "d"}) {
+      env[name] = (negative(rng) ? -1.0 : 1.0) * magnitude(rng);
+    }
+    const double cv = eval(c, env);
+    if (!std::isfinite(cv) || std::abs(cv) < 1e-3) {
+      continue;  // No (well-conditioned) root.
+    }
+    const double reference = eval(q, env) - eval(r, env) / cv;
+    if (!std::isfinite(reference) || std::abs(reference) > 1e9) {
+      continue;
+    }
+    const Ex sol = sym::solve(c * (x - q) + r, Ex(0), x);
+    EXPECT_NEAR(eval(sol, env), reference, rel_tol(reference))
+        << "solve broke: " << sol.to_string();
+    EXPECT_NEAR(eval(sym::expand(sol), env), reference, rel_tol(reference))
+        << "expanded solve broke: " << sol.to_string();
+  }
+}
+
 TEST(ExprProperties, CanonicalFormIsOrderIndependent) {
   // Building the same sum/product from shuffled operand orders must give
   // structurally identical (hash-equal, print-equal) expressions.

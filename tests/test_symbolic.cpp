@@ -140,7 +140,14 @@ TEST(Manip, SolveWaveEquationUpdate) {
 
   const Ex sol = solve(m * dt2 - lap, Ex(0), fwd);
   const Ex expected = 2 * now - bwd + lap * dt * dt / m;
-  EXPECT_TRUE(sol == expected) << sol.to_string();
+  EXPECT_TRUE(expand(sol) == expected) << sol.to_string();
+
+  // solve() keeps the update factored as -rest/coeff: the reciprocal of
+  // the time-stencil coefficient appears once, not once per term.
+  const Ex reciprocal = pow(m / (dt * dt), -1);
+  int occurrences = 0;
+  walk(sol, [&](const Ex& sub) { occurrences += sub == reciprocal ? 1 : 0; });
+  EXPECT_EQ(occurrences, 1) << sol.to_string();
 }
 
 TEST(Manip, FieldAccessHarvest) {
@@ -282,6 +289,23 @@ TEST_P(FdWeightsOrderSweep, StaggeredWeightsReproduceMonomialsAtHalfPoint) {
       const double expected = (k == 1) ? 1.0 : 0.0;
       EXPECT_NEAR(sum, expected, 1e-11 * std::max(1.0, magnitude))
           << "so=" << so << " side=" << side << " k=" << k;
+    }
+  }
+}
+
+TEST(FdWeights, CentralWeightsAreExactlyMirrorSymmetric) {
+  // Bitwise (anti)symmetry lets factorize pair the taps at -k and +k
+  // under one shared coefficient.
+  for (int so = 2; so <= 16; so += 2) {
+    const int r = so / 2;
+    for (const int m : {1, 2}) {
+      const auto st = central_stencil(m, so);
+      const double sign = m == 1 ? -1.0 : 1.0;
+      for (int k = 0; k <= r; ++k) {
+        EXPECT_EQ(st.weights[static_cast<std::size_t>(r - k)],
+                  sign * st.weights[static_cast<std::size_t>(r + k)])
+            << "so=" << so << " m=" << m << " k=" << k;
+      }
     }
   }
 }
