@@ -321,7 +321,7 @@ int main(int argc, char** argv) {
   std::string analysis_path;
   std::string metrics_path;
   std::string autotune_path;
-  jitfd::core::Objective objective = jitfd::core::Objective::FromEnv;
+  jitfd::core::Objective objective = jitfd::core::Objective::Wall;
   bool rebalance = false;
   bool expect_rebalance = false;
   int expect_rank = -1;

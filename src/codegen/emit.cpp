@@ -283,26 +283,17 @@ class Emitter {
     }
 
     // Inside an enclosing tile loop over the same dimension, execute the
-    // intersection of this loop's bounds with the active tile window
-    // (widened by tile_expand for time-tiled sub-steps).
+    // intersection of this loop's bounds with the active tile window.
+    // Tile loops carry the same bounds as the nest, so the window start
+    // needs no lower clamp.
     std::string lo_s = std::to_string(lo);
     std::string hi_s = std::to_string(hi);
     const auto win = block_win_.find(n.dim);
     if (win != block_win_.end()) {
       const std::string& bv = win->second.first;
       const std::string end = bv + " + " + std::to_string(win->second.second);
-      if (n.tile_expand > 0) {
-        const std::string e = std::to_string(n.tile_expand);
-        lo_s = "(" + bv + " - " + e + " > " + lo_s + " ? " + bv + " - " + e +
-               " : " + lo_s + ")";
-        hi_s = "(" + end + " + " + e + " < " + hi_s + " ? " + end + " + " +
-               e + " : " + hi_s + ")";
-      } else {
-        // Tile loops carry the same bounds as the nest, so the window
-        // start needs no lower clamp.
-        lo_s = bv;
-        hi_s = "(" + end + " < " + hi_s + " ? " + end + " : " + hi_s + ")";
-      }
+      lo_s = bv;
+      hi_s = "(" + end + " < " + hi_s + " ? " + end + " : " + hi_s + ")";
     }
     line("for (long " + v + " = " + lo_s + "; " + v + " < " + hi_s + "; " +
          v + " += 1)");
@@ -690,49 +681,6 @@ std::string Emitter::run(const ir::NodePtr& iet) {
         ++indent_;
         line("const long time = strip_t;");
         emit_node(*child, /*in_core=*/false);
-        --indent_;
-        line("}");
-        continue;
-      }
-      if (child->type == ir::NodeType::BlockLoop) {
-        // Time-tiled walker: the sub-step sequence advances inside each
-        // tile window. Guards and time bindings replicate per window; the
-        // per-step hook stays with the trailing health sub-steps (a
-        // sub-step only completes once all windows have run).
-        const auto bd = static_cast<std::size_t>(child->dim);
-        const std::int64_t bsize = grid_->local_shape()[bd];
-        const std::int64_t blo =
-            child->lo.resolve_lo(bsize, grid_->has_neighbor_low(child->dim));
-        const std::int64_t bhi =
-            child->hi.resolve_hi(bsize, grid_->has_neighbor_high(child->dim));
-        const std::string bv = std::string(dim_var(child->dim)) + "b";
-        line("for (long " + bv + " = " + std::to_string(blo) + "; " + bv +
-             " < " + std::to_string(bhi) + "; " + bv + " += " +
-             std::to_string(child->tile) + ")");
-        line("{");
-        ++indent_;
-        block_win_[child->dim] = {bv, child->tile};
-        for (const ir::NodePtr& sub : child->body) {
-          line("/* sub-step " + std::to_string(sub->time_shift) +
-               " (tiled) */");
-          if (sub->time_shift > 0) {
-            line("if (strip_t + " + std::to_string(sub->time_shift) +
-                 " <= time_M)");
-          }
-          line("{");
-          ++indent_;
-          line(sub->time_shift > 0
-                   ? "const long time = strip_t + " +
-                         std::to_string(sub->time_shift) + ";"
-                   : "const long time = strip_t;");
-          emit_tvars();
-          for (const ir::NodePtr& inner : sub->body) {
-            emit_node(*inner, /*in_core=*/false);
-          }
-          --indent_;
-          line("}");
-        }
-        block_win_.erase(child->dim);
         --indent_;
         line("}");
         continue;

@@ -39,7 +39,7 @@ std::atomic<std::uint64_t> g_cache_misses{0};
 struct ScratchDir {
   fs::path path;
   ~ScratchDir() {
-    if (!path.empty() && !jitfd::env::is_set("JITFD_KEEP")) {
+    if (!path.empty()) {
       std::error_code ec;
       fs::remove_all(path, ec);  // Best effort; never throw in a dtor.
     }

@@ -8,8 +8,8 @@
 // or a rerun of the same script — reuses the cached .so instead of
 // paying the external-compiler round trip. The cache lives in
 // $JITFD_CACHE_DIR when set (persistent across processes); otherwise in
-// a per-process scratch directory removed at exit (set JITFD_KEEP=1 to
-// keep it for inspection).
+// a per-process scratch directory removed at exit (set JITFD_CACHE_DIR
+// to keep the generated sources for inspection).
 #pragma once
 
 #include <cstdint>

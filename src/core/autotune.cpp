@@ -153,16 +153,6 @@ AnalysisScore score_trial(const obs::TraceHandle& handle,
   return sc;
 }
 
-Objective resolve_objective(Objective requested) {
-  if (requested != Objective::FromEnv) {
-    return requested;
-  }
-  return env::get_enum("JITFD_AUTOTUNE_OBJECTIVE", "wall",
-                       {"wall", "attributed"}) == "attributed"
-             ? Objective::Attributed
-             : Objective::Wall;
-}
-
 void put_key(obs::json::Writer& w, const AutotuneReport::TrialKey& key) {
   w.field("mode", ir::to_string(std::get<0>(key)));
   w.field("depth", std::get<1>(key)).key("tile").begin_array();
@@ -297,21 +287,20 @@ std::unique_ptr<Operator> autotune_operator(
   local_report.trial_steps = trial_steps;
   local_report.rebalance_threshold =
       env::get_float("JITFD_REBALANCE_THRESHOLD", 1.25);
-  Objective resolved = resolve_objective(objective);
 #ifdef JITFD_OBS_DISABLED
   const bool obs_available = false;
 #else
   const bool obs_available = true;
 #endif
   std::string fallback_note;
-  if (resolved == Objective::Attributed && !obs_available) {
-    resolved = Objective::Wall;
+  if (objective == Objective::Attributed && !obs_available) {
+    objective = Objective::Wall;
     fallback_note =
         " (attributed objective requested, but tracing is compiled out: "
         "fell back to wall-clock)";
   }
-  local_report.objective = resolved;
-  const bool attributed = resolved == Objective::Attributed;
+  local_report.objective = objective;
+  const bool attributed = objective == Objective::Attributed;
 
   if (!grid.distributed()) {
     opts.mode = ir::MpiMode::None;

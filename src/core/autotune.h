@@ -9,8 +9,7 @@
 // Field data is restored after every trial, so tuning is side-effect
 // free and the user applies the returned operator as usual.
 //
-// Two scoring objectives exist (JITFD_AUTOTUNE_OBJECTIVE, or the
-// explicit `objective` argument):
+// Two scoring objectives exist (the `objective` argument):
 //  * wall — raw slowest-rank seconds, the historical behavior;
 //  * attributed — each trial runs under tracing and is charged its
 //    *attributed* cost: mean per-rank wait + redundant deep-halo
@@ -33,9 +32,8 @@
 
 namespace jitfd::core {
 
-/// Autotune scoring objective. FromEnv resolves through the
-/// JITFD_AUTOTUNE_OBJECTIVE registry entry (default wall).
-enum class Objective { FromEnv, Wall, Attributed };
+/// Autotune scoring objective.
+enum class Objective { Wall, Attributed };
 
 /// Cross-rank analysis digest of one attributed trial: the same
 /// quantities obs::analyze reports, allreduced so every rank holds the
@@ -72,8 +70,8 @@ struct AutotuneReport {
   std::map<TrialKey, std::string> skipped;
   int trial_steps = 0;
 
-  /// Resolved scoring objective (never FromEnv; Attributed only when
-  /// scores were actually collected).
+  /// Effective scoring objective (Attributed only when scores were
+  /// actually collected).
   Objective objective = Objective::Wall;
   /// Per-trial analysis scores (attributed objective only; keyed like
   /// seconds_by_depth).
@@ -128,6 +126,6 @@ std::unique_ptr<Operator> autotune_operator(
     const std::map<std::string, double>& scalars, std::int64_t time_m = 0,
     int trial_steps = 3, AutotuneReport* report = nullptr,
     std::vector<runtime::SparseOp*> sparse_ops = {},
-    Objective objective = Objective::FromEnv);
+    Objective objective = Objective::Wall);
 
 }  // namespace jitfd::core

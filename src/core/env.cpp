@@ -12,9 +12,6 @@ namespace {
 // The single documented table. Keep sorted by name; README.md mirrors
 // this list and `quickstart --env` renders it.
 const Var kVars[] = {
-    {"JITFD_AUTOTUNE_OBJECTIVE", "enum(wall|attributed)", "wall",
-     "Autotuner scoring objective: raw wall-clock seconds, or attributed "
-     "cost (wait + redundant compute + imbalance penalty) from tracing"},
     {"JITFD_CACHE_DIR", "string", "unset",
      "Persistent JIT compile cache directory shared across processes "
      "(unset: per-process scratch dir under $TMPDIR, removed at exit)"},
@@ -34,8 +31,6 @@ const Var kVars[] = {
     {"JITFD_INJECT_NAN", "string", "unset",
      "Fault injection \"rank:step\": poison one owned-interior point of "
      "the first health-checked field (flight-recorder self-test hook)"},
-    {"JITFD_KEEP", "bool", "0",
-     "Keep the per-process JIT scratch cache directory at exit"},
     {"JITFD_METRICS", "bool", "0",
      "Enable the obs/metrics counters/gauges/histograms registry"},
     {"JITFD_MPI", "enum(none|basic|diagonal|full)", "basic",
@@ -50,9 +45,6 @@ const Var kVars[] = {
     {"JITFD_TILE", "int-list", "unset",
      "Default per-dimension cache-block shape \"tz,ty,tx\" for Operators "
      "that leave CompileOptions::tile empty (0 entries stay untiled)"},
-    {"JITFD_TIME_SLACK", "int", "0",
-     "Extra time buffers beyond time_order+1 for unsaved TimeFunctions "
-     "(time-tiling feasibility; see Function::set_default_time_slack)"},
     {"JITFD_TRACE", "bool", "0",
      "Enable per-rank tracing (obs/trace: spans and structured kv-instant "
      "events) from process start"},
@@ -189,12 +181,13 @@ std::string get_enum(const char* name, const std::string& def,
                               "': valid values are " + valid);
 }
 
-std::vector<std::int64_t> parse_int_list(const std::string& what,
-                                         const std::string& text) {
+std::vector<std::int64_t> get_int_list(const char* name) {
   std::vector<std::int64_t> out;
-  if (text.empty()) {
+  const auto v = raw(name);
+  if (!v.has_value() || v->empty()) {
     return out;
   }
+  const std::string& text = *v;
   std::size_t pos = 0;
   while (pos <= text.size()) {
     const std::size_t comma = text.find(',', pos);
@@ -212,7 +205,7 @@ std::vector<std::int64_t> parse_int_list(const std::string& what,
         }
       } catch (const std::exception&) {
         throw std::invalid_argument(
-            what + "='" + text + "': entry '" + tok +
+            std::string(name) + "='" + text + "': entry '" + tok +
             "' is not an integer (expected a comma-separated list like "
             "\"16,8,0\")");
       }
@@ -223,14 +216,6 @@ std::vector<std::int64_t> parse_int_list(const std::string& what,
     pos = comma + 1;
   }
   return out;
-}
-
-std::vector<std::int64_t> get_int_list(const char* name) {
-  const auto v = raw(name);
-  if (!v.has_value()) {
-    return {};
-  }
-  return parse_int_list(name, *v);
 }
 
 }  // namespace jitfd::env

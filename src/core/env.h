@@ -8,10 +8,11 @@
 // variable and the accepted form), never a silent fallback — a typo'd
 // JITFD_MPI=digaonal must not quietly run the basic pattern.
 //
-// Call sites outside this module must not call std::getenv("JITFD_...")
-// directly (enforced by a repo-wide grep in review); new knobs register
-// here first, so `quickstart --env` and the README table stay complete
-// by construction.
+// Call sites outside this module must not read JITFD_* variables with
+// std::getenv (enforced by a repo-wide grep in CI, which also fails on
+// a registered variable nothing reads); new knobs register here first,
+// so `quickstart --env` and the README table (checked by
+// Env.ReadmeTableMatchesRegistry) stay complete by construction.
 #pragma once
 
 #include <cstdint>
@@ -66,11 +67,5 @@ std::string get_enum(const char* name, const std::string& def,
 /// tokens mean 0 ("8,,2" -> {8,0,2}); non-numeric tokens are a hard
 /// error. Used by JITFD_TILE (a 0 entry leaves that dimension untiled).
 std::vector<std::int64_t> get_int_list(const char* name);
-
-/// The strict list parser behind get_int_list, exposed so API-level
-/// parsers (Function::parse_tile) share one grammar. `what` names the
-/// source in error messages.
-std::vector<std::int64_t> parse_int_list(const std::string& what,
-                                         const std::string& text);
 
 }  // namespace jitfd::env

@@ -177,11 +177,10 @@ Operator::Operator(std::vector<ir::Eq> eqs, ir::CompileOptions opts,
   }
 
   if (opts_.tile.empty()) {
-    // Process-wide default (JITFD_TILE or Function::set_default_tile),
-    // mirroring the exchange-depth override: select tiling without
-    // touching user code. Infeasible entries are clamped and recorded by
-    // the lowering pass.
-    opts_.tile = grid::Function::default_tile();
+    // Like JITFD_MPI above: select tiling without touching user code.
+    // Strict parse; infeasible entries are clamped and recorded by the
+    // lowering pass.
+    opts_.tile = env::get_int_list("JITFD_TILE");
   }
 
   std::vector<ir::SparseOpDesc> descs;
@@ -244,11 +243,6 @@ std::string Operator::describe() const {
     if (!info_.tile_clamp_reason.empty()) {
       os << " (clamped: " << info_.tile_clamp_reason << ")";
     }
-  }
-  if (info_.time_tile) {
-    os << ", time-tiled";
-  } else if (!info_.time_tile_clamp_reason.empty()) {
-    os << ", time tiling off (" << info_.time_tile_clamp_reason << ")";
   }
   os << "\n  fields:";
   for (const grid::Function* f : fields_.all()) {

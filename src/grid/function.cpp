@@ -37,24 +37,6 @@ std::atomic<int>& exchange_depth_default() {
   return depth;
 }
 
-std::mutex& tile_default_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::vector<std::int64_t>& tile_default_storage() {
-  static std::vector<std::int64_t> tile = env::get_int_list("JITFD_TILE");
-  return tile;
-}
-
-std::atomic<int>& time_slack_default() {
-  static std::atomic<int> slack{[] {
-    const int v = static_cast<int>(env::get_int("JITFD_TIME_SLACK", 0));
-    return v > 0 ? v : 0;
-  }()};
-  return slack;
-}
-
 // Reserved user-channel tag for Function::gather traffic, far above the
 // halo-exchange tag space. A single fixed tag suffices: gathers are
 // collective (all ranks call in the same program order) and the mailbox
@@ -139,34 +121,6 @@ void Function::set_default_exchange_depth(int depth) {
 int Function::default_exchange_depth() {
   return exchange_depth_default().load();
 }
-
-void Function::set_default_tile(std::vector<std::int64_t> tile) {
-  const std::lock_guard<std::mutex> lock(tile_default_mutex());
-  tile_default_storage() = std::move(tile);
-}
-
-std::vector<std::int64_t> Function::default_tile() {
-  const std::lock_guard<std::mutex> lock(tile_default_mutex());
-  return tile_default_storage();
-}
-
-std::vector<std::int64_t> Function::parse_tile(const std::string& text) {
-  // Strict shared grammar with JITFD_TILE (env::get_int_list): elided
-  // entries ("8,,2") stay untiled, non-numeric tokens are a hard error.
-  // Negative or oversized values are still clamped (and recorded) at
-  // lowering time.
-  return env::parse_int_list("tile", text);
-}
-
-void Function::set_default_time_slack(int slack) {
-  if (slack < 0) {
-    throw std::invalid_argument(
-        "Function::set_default_time_slack: slack must be >= 0");
-  }
-  time_slack_default().store(slack);
-}
-
-int Function::default_time_slack() { return time_slack_default().load(); }
 
 Function* lookup_field(int field_id) {
   const std::lock_guard<std::mutex> lock(registry_mutex());
@@ -441,13 +395,10 @@ TimeFunction::TimeFunction(std::string name, const Grid& grid, int space_order,
                            int time_order, int padding, int save)
     : Function(std::move(name), grid, space_order, padding,
                /*time_varying=*/true,
-               /*buffers=*/save > 0
-                   ? save
-                   : time_order + 1 + Function::default_time_slack(),
+               /*buffers=*/save > 0 ? save : time_order + 1,
                /*saved=*/save > 0),
       time_order_(time_order),
-      save_(save),
-      slack_(save > 0 ? 0 : Function::default_time_slack()) {
+      save_(save) {
   if (time_order < 1 || time_order > 2) {
     throw std::invalid_argument("TimeFunction: time_order must be 1 or 2");
   }

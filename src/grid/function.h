@@ -89,26 +89,6 @@ class Function {
   static void set_default_exchange_depth(int depth);
   static int default_exchange_depth();
 
-  /// Process-wide default per-dimension tile shape, used by Operator when
-  /// CompileOptions::tile is left empty. Initialized once from the
-  /// JITFD_TILE environment variable ("tz,ty,tx"; unset/empty = untiled);
-  /// the setter affects Operators constructed afterwards. Infeasible
-  /// entries are clamped (and recorded) at lowering time, not here.
-  static void set_default_tile(std::vector<std::int64_t> tile);
-  static std::vector<std::int64_t> default_tile();
-  /// Parse a JITFD_TILE-style comma-separated list ("16,8"). Lenient:
-  /// unparsable entries become 0 (untiled) — lowering records clamps.
-  static std::vector<std::int64_t> parse_tile(const std::string& text);
-
-  /// Extra time buffers allocated beyond time_order+1 for unsaved
-  /// TimeFunctions constructed afterwards. Time tiling
-  /// (CompileOptions::time_tile) needs a strip's whole absolute
-  /// time-index window held in distinct buffers; without enough slack the
-  /// request is clamped at lowering time with a recorded reason.
-  /// Initialized from the JITFD_TIME_SLACK environment variable.
-  static void set_default_time_slack(int slack);
-  static int default_time_slack();
-
   /// Number of time buffers (1 for plain Functions).
   virtual int time_buffers() const { return 1; }
 
@@ -238,7 +218,7 @@ class TimeFunction : public Function {
 
   int time_order() const { return time_order_; }
   int time_buffers() const override {
-    return saved() ? save_ : time_order_ + 1 + slack_;
+    return saved() ? save_ : time_order_ + 1;
   }
   int save_steps() const { return save_; }
 
@@ -262,8 +242,6 @@ class TimeFunction : public Function {
  private:
   int time_order_;
   int save_ = 0;
-  /// Extra cycling buffers (default_time_slack at construction time).
-  int slack_ = 0;
 };
 
 /// The symbolic time-step size, shared by all TimeFunctions.

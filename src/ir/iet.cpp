@@ -27,14 +27,13 @@ NodePtr make_expression(sym::Ex target, sym::Ex value) {
 }
 
 NodePtr make_iteration(int dim, Bound lo, Bound hi, LoopProps props,
-                       std::vector<NodePtr> body, std::int64_t tile_expand) {
+                       std::vector<NodePtr> body) {
   Node n;
   n.type = NodeType::Iteration;
   n.dim = dim;
   n.lo = lo;
   n.hi = hi;
   n.props = props;
-  n.tile_expand = tile_expand;
   n.body = std::move(body);
   return finish(std::move(n));
 }
@@ -172,9 +171,6 @@ void dump(std::ostringstream& os, const NodePtr& node, int indent) {
       os << "] Iteration " << dim_name(n.dim) << " ["
          << bound_str(n.lo, n.dim, false) << ", "
          << bound_str(n.hi, n.dim, true) << ")";
-      if (n.tile_expand > 0) {
-        os << " expand " << n.tile_expand;
-      }
       os << ">\n";
       break;
     }

@@ -114,11 +114,6 @@ struct Node {
   // [lo, hi) in `tile`-sized windows; enclosed Iterations over the same
   // dimension are clipped to the active window.
   std::int64_t tile = 0;
-  // Iteration (time-tiled sub-steps only): widen the intersection with
-  // the enclosing BlockLoop window by this many points on each side
-  // (never past the Iteration's own [lo, hi)). Gives each space tile the
-  // ghost-extended footprint sub-step j needs (trapezoidal time tiling).
-  std::int64_t tile_expand = 0;
 
   // HaloSpot / HaloComm:
   std::vector<HaloNeed> needs;
@@ -144,10 +139,10 @@ struct Node {
 NodePtr make_callable(std::string name, std::vector<NodePtr> body);
 NodePtr make_expression(sym::Ex target, sym::Ex value);
 NodePtr make_iteration(int dim, Bound lo, Bound hi, LoopProps props,
-                       std::vector<NodePtr> body, std::int64_t tile_expand = 0);
+                       std::vector<NodePtr> body);
 /// A cache-tile loop over dimension `dim`: walks [lo, hi) in `tile`-point
 /// windows; Iterations over `dim` inside `body` execute clipped to the
-/// active window (optionally widened by their own `tile_expand`).
+/// active window.
 NodePtr make_block_loop(int dim, Bound lo, Bound hi, std::int64_t tile,
                         LoopProps props, std::vector<NodePtr> body);
 NodePtr make_time_loop(std::vector<NodePtr> body);

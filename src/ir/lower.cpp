@@ -1,7 +1,6 @@
 #include "ir/lower.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -237,11 +236,6 @@ struct DeepHaloPlan {
   std::vector<std::vector<std::vector<int>>> ext;
   /// Per-cluster maximum read width (the full-mode CORE inset).
   std::vector<std::vector<int>> width;
-  /// tile_ext[j][c]: outermost-dimension trapezoid expansion for walking
-  /// the sub-steps tile-by-tile (time tiling). Same chain rule as `ext`
-  /// but over the FULL read widths: a tile boundary needs recompute
-  /// overlap even along undecomposed dimensions, which need no exchange.
-  std::vector<std::vector<int>> tile_ext;
 };
 
 /// Try to build a depth-k strip plan. Extensions follow the chain rule:
@@ -264,7 +258,6 @@ bool plan_deep_halo(const std::vector<Cluster>& clusters,
     sym::FieldId field;
     int off = 0;
     std::vector<int> w;  ///< Per-dim width; zero on undecomposed dims.
-    int w0_full = 0;     ///< Full outermost-dim width (for time tiling).
   };
   struct Write {
     int field = -1;
@@ -291,8 +284,7 @@ bool plan_deep_halo(const std::vector<Cluster>& clusters,
             eff[ud] = widths[ud];
           }
         }
-        const int w0 = nd > 0 ? widths[0] : 0;
-        reads[ci].push_back(Read{fp.field, off, std::move(eff), w0});
+        reads[ci].push_back(Read{fp.field, off, std::move(eff)});
       }
     }
     for (const Eq& eq : c.eqs) {
@@ -352,33 +344,6 @@ bool plan_deep_halo(const std::vector<Cluster>& clusters,
         const auto ud = static_cast<std::size_t>(d);
         per_cluster[ci][ud] = (k - 1 - j) * W[ud] + suffix[ci][ud];
       }
-    }
-  }
-
-  // Time-tiling trapezoids: the same chain on full outermost-dim widths.
-  std::vector<int> cw0(nc, 0);
-  for (std::size_t ci = 0; ci < nc; ++ci) {
-    for (const Read& r : reads[ci]) {
-      if (r.field.time_varying) {
-        cw0[ci] = std::max(cw0[ci], r.w0_full);
-      }
-    }
-  }
-  int W0 = 0;
-  for (int w0 : cw0) {
-    W0 += w0;
-  }
-  std::vector<int> suffix0(nc, 0);
-  for (std::size_t ci = nc; ci-- > 0;) {
-    if (ci + 1 < nc) {
-      suffix0[ci] = suffix0[ci + 1] + cw0[ci + 1];
-    }
-  }
-  plan.tile_ext.assign(static_cast<std::size_t>(k), std::vector<int>(nc, 0));
-  for (int j = 0; j < k; ++j) {
-    for (std::size_t ci = 0; ci < nc; ++ci) {
-      plan.tile_ext[static_cast<std::size_t>(j)][ci] =
-          (k - 1 - j) * W0 + suffix0[ci];
     }
   }
 
@@ -568,13 +533,10 @@ std::vector<std::int64_t> plan_tiling(const CompileOptions& opts,
 /// Build the loop nest of one cluster over the given per-dimension
 /// bounds. A nonzero tile[d] wraps the nest in a BlockLoop over dimension
 /// d (tile loops sit outermost, in dimension order) and the OpenMP
-/// annotation moves to the outermost loop node. `expand` (time tiling
-/// only) widens the intersection of Iteration d with the enclosing tile
-/// window by expand[d] points per side.
+/// annotation moves to the outermost loop node.
 NodePtr build_nest(const Cluster& c, int ndims, const CompileOptions& opts,
                    const std::vector<Bound>& lo, const std::vector<Bound>& hi,
-                   const std::vector<std::int64_t>& tile,
-                   const std::vector<std::int64_t>* expand = nullptr) {
+                   const std::vector<std::int64_t>& tile) {
   int outer_tiled = -1;
   for (int d = 0; d < ndims; ++d) {
     if (tile[static_cast<std::size_t>(d)] > 0) {
@@ -594,8 +556,7 @@ NodePtr build_nest(const Cluster& c, int ndims, const CompileOptions& opts,
     LoopProps props;
     props.vector = d == ndims - 1;
     props.parallel = opts.openmp && d == 0 && outer_tiled < 0;
-    body = {make_iteration(d, lo[ud], hi[ud], props, std::move(body),
-                           expand != nullptr ? (*expand)[ud] : 0)};
+    body = {make_iteration(d, lo[ud], hi[ud], props, std::move(body))};
   }
   for (int d = ndims - 1; d >= 0; --d) {
     const auto ud = static_cast<std::size_t>(d);
@@ -682,65 +643,6 @@ std::vector<int> needs_width(const Cluster& c, int nd) {
     }
   }
   return w;
-}
-
-/// Can a strip's sub-steps be walked tile-by-tile? Once a tile has run
-/// all k sub-steps its writes land in time-buffer slots that later tiles
-/// (still at earlier sub-steps) may need to read, so every cycling
-/// time-varying field must keep the strip's whole absolute time-index
-/// window in distinct buffers. Saved fields index identically and are
-/// distinct by construction.
-bool time_tile_buffers_ok(const std::vector<Cluster>& clusters, int k,
-                          std::string& why) {
-  std::map<int, std::pair<int, int>> range;  // field id -> (min, max) offset
-  std::map<int, std::string> names;
-  auto touch = [&](const sym::FieldId& f, int off) {
-    if (!f.time_varying) {
-      return;
-    }
-    auto [it, fresh] = range.try_emplace(f.id, std::pair<int, int>{off, off});
-    if (!fresh) {
-      it->second.first = std::min(it->second.first, off);
-      it->second.second = std::max(it->second.second, off);
-    }
-    names.emplace(f.id, f.name);
-  };
-  for (const Cluster& c : clusters) {
-    std::vector<sym::Ex> rhss;
-    for (const Eq& eq : c.eqs) {
-      touch(eq.write_field(), eq.write_time_offset());
-      rhss.push_back(eq.rhs);
-    }
-    for (const sym::Temp& t : c.point_temps) {
-      rhss.push_back(t.value);
-    }
-    for (const sym::Ex& rhs : rhss) {
-      for (const sym::Ex& a : sym::field_accesses(rhs)) {
-        touch(a.node().field, a.node().time_offset);
-      }
-    }
-  }
-  for (const auto& [id, mm] : range) {
-    const grid::Function* fn = grid::lookup_field(id);
-    if (fn == nullptr) {
-      why = "field '" + names[id] + "' is not registered";
-      return false;
-    }
-    if (fn->saved()) {
-      continue;
-    }
-    const int window = (k - 1) + mm.second - mm.first + 1;
-    if (fn->time_buffers() < window) {
-      why = "'" + fn->name() + "' has " +
-            std::to_string(fn->time_buffers()) +
-            " time buffers but tile-by-tile sub-stepping needs " +
-            std::to_string(window) +
-            " distinct in-flight slots (construct fields under "
-            "Function::set_default_time_slack)";
-      return false;
-    }
-  }
-  return true;
 }
 
 bool is_reserved_temp_name(const std::string& name) {
@@ -851,26 +753,8 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
       ca.k > 1 ? ca.hoisted : analyze_halos(clusters, grid, opts.halo_opt);
   halo_span.close();
 
-  // Per-dimension cache tiling, and (when requested and legal) walking
-  // strip sub-steps tile-by-tile for temporal reuse.
+  // Per-dimension cache tiling.
   const std::vector<std::int64_t> tile = plan_tiling(opts, grid, info);
-  bool time_tile = false;
-  if (opts.time_tile) {
-    std::string why;
-    if (ca.k <= 1) {
-      why =
-          "time tiling rides the communication-avoiding strip machinery "
-          "(needs an effective exchange_depth > 1)";
-    } else if (tile.empty() || tile[0] <= 0) {
-      why = "time tiling needs an outermost space tile (tile[0] > 0)";
-    } else if (opts.mode == MpiMode::Full) {
-      why = "the full pattern interleaves its Wait inside sub-step 0";
-    } else if (time_tile_buffers_ok(clusters, ca.k, why)) {
-      time_tile = true;
-    }
-    info.time_tile = time_tile;
-    info.time_tile_clamp_reason = time_tile ? "" : why;
-  }
 
   // Stage 4: schedule (pre-lowering IET, with HaloSpot placeholders).
   obs::Span schedule_span("compile.schedule", obs::Cat::Compile);
@@ -908,68 +792,26 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
     if (!ca.strip_needs.empty()) {
       step.push_back(make_halo_spot(ca.strip_needs));
     }
-    if (time_tile) {
-      // Walk the k sub-steps tile-by-tile: a serial BlockLoop over the
-      // outermost dimension whose body is the sub-step sequence. Each
-      // sub-step's outermost Iteration expands the tile window by the
-      // full-width trapezoid chain (tile_ext) so every in-tile read is
-      // covered by the same tile's earlier writes; overlap regions are
-      // recomputed bitwise-identically by neighbouring tiles. Health
-      // checks cannot live inside the walker (a sub-step's domain is only
-      // complete once all tiles ran), so they trail it as guarded
-      // health-only sub-steps — the widened time-buffer window keeps the
-      // slots they read distinct for the whole strip.
-      std::vector<std::int64_t> inner = tile;
-      inner[0] = 0;
-      std::vector<NodePtr> walk;
-      for (int j = 0; j < ca.k; ++j) {
-        std::vector<NodePtr> sub;
-        for (std::size_t ci = 0; ci < clusters.size(); ++ci) {
-          std::vector<Bound> lo = domain_lo(nd);
-          std::vector<Bound> hi = domain_hi(nd);
-          for (int d = 0; d < nd; ++d) {
-            const auto ud = static_cast<std::size_t>(d);
-            const int e = ca.ext[static_cast<std::size_t>(j)][ci][ud];
-            lo[ud].ghost = e;
-            hi[ud].ghost = e;
-          }
-          std::vector<std::int64_t> expand(static_cast<std::size_t>(nd), 0);
-          expand[0] = ca.tile_ext[static_cast<std::size_t>(j)][ci];
-          sub.push_back(
-              build_nest(clusters[ci], nd, opts, lo, hi, inner, &expand));
+    for (int j = 0; j < ca.k; ++j) {
+      std::vector<NodePtr> sub;
+      for (std::size_t ci = 0; ci < clusters.size(); ++ci) {
+        std::vector<Bound> lo = domain_lo(nd);
+        std::vector<Bound> hi = domain_hi(nd);
+        for (int d = 0; d < nd; ++d) {
+          const auto ud = static_cast<std::size_t>(d);
+          const int e = ca.ext[static_cast<std::size_t>(j)][ci][ud];
+          lo[ud].ghost = e;
+          hi[ud].ghost = e;
         }
-        walk.push_back(make_substep(j, std::move(sub)));
+        sub.push_back(build_nest(clusters[ci], nd, opts, lo, hi, tile));
       }
-      step.push_back(make_block_loop(0, Bound::absolute(0),
-                                     Bound::from_size(0), tile[0],
-                                     LoopProps{}, std::move(walk)));
       if (!health.empty()) {
-        for (int j = 0; j < ca.k; ++j) {
-          step.push_back(make_substep(j, {make_health_check(health)}));
-        }
+        // Inside the substep: the substep's partial-strip guard also
+        // guards the check, keeping the `time % interval` predicate (and
+        // thus the cross-rank reduction schedule) identical on all ranks.
+        sub.push_back(make_health_check(health));
       }
-    } else {
-      for (int j = 0; j < ca.k; ++j) {
-        std::vector<NodePtr> sub;
-        for (std::size_t ci = 0; ci < clusters.size(); ++ci) {
-          std::vector<Bound> lo = domain_lo(nd);
-          std::vector<Bound> hi = domain_hi(nd);
-          for (int d = 0; d < nd; ++d) {
-            const auto ud = static_cast<std::size_t>(d);
-            const int e = ca.ext[static_cast<std::size_t>(j)][ci][ud];
-            lo[ud].ghost = e;
-            hi[ud].ghost = e;
-          }
-          sub.push_back(build_nest(clusters[ci], nd, opts, lo, hi, tile));
-        }
-        if (!health.empty()) {
-          // Inside the substep: the substep's partial-strip guard also
-          // guards the check, keeping the `time % interval` predicate (and
-          // thus the cross-rank reduction schedule) identical on all ranks.
-          sub.push_back(make_health_check(health));
-        }
-        step.push_back(make_substep(j, std::move(sub)));
-      }
+      step.push_back(make_substep(j, std::move(sub)));
     }
   } else {
     for (const Cluster& c : clusters) {
@@ -1062,8 +904,15 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
       new_top.push_back(with_body(*n, std::move(new_step)));
       continue;
     }
+    // Stage 4 emitted one nest per cluster, in cluster order, each
+    // preceded by its spot (if any): a cursor pairs nests with clusters.
+    std::size_t next_cluster = 0;
     for (std::size_t i = 0; i < old.size(); ++i) {
       if (old[i]->type != NodeType::HaloSpot) {
+        if (old[i]->type == NodeType::Iteration ||
+            old[i]->type == NodeType::BlockLoop) {
+          ++next_cluster;
+        }
         new_step.push_back(old[i]);
         continue;
       }
@@ -1076,35 +925,9 @@ NodePtr lower_to_iet(const std::vector<Eq>& eqs, const grid::Grid& grid,
         new_step.push_back(make_halo_comm(HaloCommKind::Update, needs, id));
         continue;
       }
-      // Full mode: start, CORE, wait, remainder — consuming the following
-      // loop nest (there is always one: spots are emitted before nests).
-      assert(i + 1 < old.size() && (old[i + 1]->type == NodeType::Iteration ||
-                                    old[i + 1]->type == NodeType::BlockLoop));
-      // Reconstruct the cluster from the nest to rebuild split nests.
-      Cluster c;
-      c.needs = needs;
-      const Node* cursor = old[i + 1].get();
-      while (cursor->type == NodeType::BlockLoop) {
-        assert(!cursor->body.empty());
-        cursor = cursor->body.front().get();
-      }
-      while (cursor->type == NodeType::Iteration) {
-        assert(!cursor->body.empty());
-        if (cursor->body.front()->type == NodeType::Iteration) {
-          cursor = cursor->body.front().get();
-          continue;
-        }
-        break;
-      }
-      for (const NodePtr& stmt : cursor->body) {
-        assert(stmt->type == NodeType::Expression);
-        if (stmt->target.kind() == sym::Kind::Symbol) {
-          c.point_temps.push_back(
-              sym::Temp{stmt->target.node().name, stmt->value});
-        } else {
-          c.eqs.emplace_back(stmt->target, stmt->value);
-        }
-      }
+      // Full mode: start, CORE, wait, remainder — replacing the following
+      // loop nest (the spot's own cluster) with its split.
+      const Cluster& c = clusters[next_cluster++];
       new_step.push_back(make_halo_comm(HaloCommKind::Start, needs, id));
       std::vector<NodePtr> split;
       build_full_split(c, nd, opts, needs_width(c, nd),

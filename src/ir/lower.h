@@ -60,14 +60,6 @@ struct CompileOptions {
   /// smallest rank-local extent (clamping must be rank-uniform or
   /// collective trial grids would diverge across ranks).
   std::vector<std::int64_t> tile = {};
-  /// Walk the exchange_depth sub-steps of a communication-avoiding strip
-  /// tile-by-tile (outermost dimension) instead of sub-step-by-sub-step,
-  /// so a tile's data stays cache-resident across the k sub-steps.
-  /// Requires exchange_depth > 1, an outermost tile, a non-Full pattern,
-  /// and enough time buffers to keep the in-flight time indices distinct
-  /// (see Function::set_default_time_slack); otherwise clamped with
-  /// LoweringInfo::time_tile_clamp_reason.
-  bool time_tile = false;
   bool openmp = true;        ///< Annotate parallel loops.
   /// Communication-avoiding exchange depth k: one halo exchange (of depth
   /// up to k stencil radii per dependent cluster) is amortized over k
@@ -120,10 +112,6 @@ struct LoweringInfo {
   /// dropped or shrunk.
   std::vector<std::int64_t> tile;
   std::string tile_clamp_reason;
-  /// Whether strips walk sub-steps tile-by-tile (time tiling); when the
-  /// request could not be honoured, time_tile_clamp_reason says why.
-  bool time_tile = false;
-  std::string time_tile_clamp_reason;
   /// The (field, time offset) pairs each step's HealthCheck reduces
   /// (empty when CompileOptions::health was off or nothing is written).
   std::vector<HaloNeed> health_checks;

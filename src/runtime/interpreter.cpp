@@ -326,12 +326,11 @@ void Interpreter::execute_loop(const ir::Node& node) {
   std::int64_t lo = node.lo.resolve_lo(size, grid.has_neighbor_low(node.dim));
   std::int64_t hi = node.hi.resolve_hi(size, grid.has_neighbor_high(node.dim));
   // Inside an enclosing tile loop over the same dimension: execute the
-  // intersection of the bounds with the active window, widened by
-  // tile_expand for time-tiled sub-steps.
+  // intersection of the bounds with the active window.
   const auto win = block_win_.find(node.dim);
   if (win != block_win_.end()) {
-    lo = std::max(lo, win->second.first - node.tile_expand);
-    hi = std::min(hi, win->second.second + node.tile_expand);
+    lo = std::max(lo, win->second.first);
+    hi = std::min(hi, win->second.second);
   }
 
   const bool leaf = !node.body.empty() &&
@@ -577,35 +576,6 @@ void Interpreter::run(std::int64_t time_m, std::int64_t time_M,
         if (child->type == ir::NodeType::HaloComm) {
           time_ = strip;
           execute(*child);
-          continue;
-        }
-        if (child->type == ir::NodeType::BlockLoop) {
-          // Time-tiled walker: the sub-step sequence advances inside each
-          // tile window, with the usual partial-strip guard and time
-          // binding replicated per window. Per-step sinks/spans stay with
-          // the trailing health sub-steps (a sub-step only completes once
-          // all windows have run).
-          const obs::Span walk_span("compute", obs::Cat::Compute, strip);
-          const grid::Grid& g = fields_->all().front()->grid();
-          const std::int64_t bsize =
-              g.local_shape()[static_cast<std::size_t>(child->dim)];
-          const std::int64_t blo =
-              child->lo.resolve_lo(bsize, g.has_neighbor_low(child->dim));
-          const std::int64_t bhi =
-              child->hi.resolve_hi(bsize, g.has_neighbor_high(child->dim));
-          for (std::int64_t b = blo; b < bhi; b += child->tile) {
-            block_win_[child->dim] = {b, b + child->tile};
-            for (const ir::NodePtr& sub : child->body) {
-              if (strip + sub->time_shift > time_M) {
-                continue;
-              }
-              time_ = strip + sub->time_shift;
-              for (const ir::NodePtr& inner : sub->body) {
-                execute(*inner);
-              }
-            }
-          }
-          block_win_.erase(child->dim);
           continue;
         }
         if (strip + child->time_shift > time_M) {

@@ -80,7 +80,7 @@ class Interpreter {
   std::vector<std::int64_t> idx_;  ///< Current space iteration point.
   /// Active tile windows: dim -> [start, start + tile). Iterations over a
   /// windowed dimension execute the intersection of their own bounds with
-  /// the window (widened by their tile_expand for time-tiled sub-steps).
+  /// the window.
   std::map<int, std::pair<std::int64_t, std::int64_t>> block_win_;
 
   // Per-expression compiled programs, cached by Node pointer.

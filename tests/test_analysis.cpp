@@ -26,12 +26,14 @@
 #include "obs/trace.h"
 #include "smpi/runtime.h"
 #include "symbolic/manip.h"
+#include "scoped_env.h"
 
 namespace {
 
 using jitfd::core::Operator;
 using jitfd::grid::Grid;
 using jitfd::grid::TimeFunction;
+using jitfd::test::ScopedEnv;
 namespace ir = jitfd::ir;
 namespace obs = jitfd::obs;
 namespace sym = jitfd::sym;
@@ -578,18 +580,6 @@ TEST(Sentinel, LostDriftMetricFails) {
 // Constructed imbalance on real runs: the env-gated per-rank delay hook
 // makes one rank measurably slow; the analyzer must pin it.
 // ---------------------------------------------------------------------
-
-// setenv/unsetenv wrapper that restores on scope exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 jitfd::core::RunSummary traced_diffusion(int nranks, ir::MpiMode mode,
                                          std::int64_t n, int steps,

@@ -3,7 +3,7 @@
 // choice must be one of the three patterns, and the tuned operator must
 // produce results identical to the serial reference. The attributed
 // objective adds a pure decision kernel (choose_attributed on synthetic
-// scores), env-driven objective resolution, and a constructed-imbalance
+// scores), the wall default, and a constructed-imbalance
 // run that must pin the delayed rank in every trial's score and
 // recommend a rebalance.
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "obs/trace.h"
 #include "smpi/runtime.h"
 #include "symbolic/manip.h"
+#include "scoped_env.h"
 
 namespace {
 
@@ -28,6 +29,7 @@ using jitfd::core::Objective;
 using jitfd::core::Operator;
 using jitfd::grid::Grid;
 using jitfd::grid::TimeFunction;
+using jitfd::test::ScopedEnv;
 namespace ir = jitfd::ir;
 namespace obs = jitfd::obs;
 namespace sym = jitfd::sym;
@@ -38,18 +40,6 @@ bool obs_built() {
   obs::set_enabled(false);
   return on;
 }
-
-// setenv/unsetenv wrapper that restores on scope exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 ir::Eq diffusion_eq(const TimeFunction& u) {
   return ir::Eq(u.forward(),
@@ -239,27 +229,6 @@ TEST(Autotune, ChooseAttributedChargesHiddenImbalance) {
 // Attributed objective on real runs.
 // ---------------------------------------------------------------------
 
-TEST(Autotune, ObjectiveResolvesFromEnvRegistry) {
-  if (!obs_built()) {
-    GTEST_SKIP() << "built with JITFD_OBS=OFF";
-  }
-  // JITFD_AUTOTUNE_OBJECTIVE drives the default (FromEnv) resolution;
-  // the report records which objective actually scored the trials.
-  ScopedEnv objective("JITFD_AUTOTUNE_OBJECTIVE", "attributed");
-  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
-    const Grid g({16, 16}, {1.0, 1.0}, comm);
-    TimeFunction u("u", g, 2, 1);
-    u.fill_global_box(0, std::vector<std::int64_t>{4, 4},
-                      std::vector<std::int64_t>{12, 12}, 1.0F);
-    AutotuneReport report;
-    auto op = autotune_operator({diffusion_eq(u)}, {}, {{"dt", 1e-3}}, 0, 2,
-                                &report);
-    EXPECT_EQ(report.objective, Objective::Attributed);
-    EXPECT_FALSE(report.scores.empty());
-    (void)op;
-  });
-}
-
 TEST(Autotune, AttributedRunScoresEveryTrialAndExportsValidJson) {
   if (!obs_built()) {
     GTEST_SKIP() << "built with JITFD_OBS=OFF";
@@ -302,6 +271,31 @@ TEST(Autotune, AttributedRunScoresEveryTrialAndExportsValidJson) {
       const obs::SchemaCheck check = obs::validate_autotune_json(json);
       EXPECT_TRUE(check.ok) << check.error << "\n" << json;
       EXPECT_EQ(check.items, 12);
+    }
+    (void)op;
+  });
+}
+
+TEST(Autotune, DefaultObjectiveIsWallAndLeavesTrialsUnscored) {
+  // Without an explicit objective the autotuner ranks raw wall-clock
+  // time; a leftover JITFD_AUTOTUNE_OBJECTIVE (no longer a knob) must not
+  // switch it to the attributed objective.
+  const ScopedEnv stale("JITFD_AUTOTUNE_OBJECTIVE", "attributed");
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
+    const Grid g({16, 16}, {1.0, 1.0}, comm);
+    TimeFunction u("u", g, 2, 1);
+    AutotuneReport report;
+    auto op = autotune_operator({diffusion_eq(u)}, {}, {{"dt", 1e-3}}, 0, 2,
+                                &report);
+    EXPECT_EQ(report.objective, Objective::Wall);
+    EXPECT_FALSE(report.seconds_by_depth.empty());
+    EXPECT_TRUE(report.scores.empty());
+    // The winner is the fastest measured trial.
+    const auto best_key = AutotuneReport::TrialKey{
+        report.best, report.best_depth, report.best_tile};
+    ASSERT_EQ(report.seconds_by_depth.count(best_key), 1U);
+    for (const auto& [k, secs] : report.seconds_by_depth) {
+      EXPECT_GE(secs, report.seconds_by_depth.at(best_key));
     }
     (void)op;
   });

@@ -30,12 +30,14 @@
 #include "smpi/runtime.h"
 #include "symbolic/fd_ops.h"
 #include "symbolic/manip.h"
+#include "scoped_env.h"
 
 namespace {
 
 using jitfd::core::Operator;
 using jitfd::grid::Grid;
 using jitfd::grid::TimeFunction;
+using jitfd::test::ScopedEnv;
 namespace ir = jitfd::ir;
 namespace sym = jitfd::sym;
 
@@ -311,14 +313,13 @@ TEST(Codegen, ThreeDimensionalEmissionIndexesAllDims) {
 TEST(Codegen, EnvVarSelectsPattern) {
   // Set once around the run: a rank that unset it could race another
   // rank's read.
-  ::setenv("JITFD_MPI", "diag", 1);
+  const ScopedEnv mpi("JITFD_MPI", "diag");
   smpi::launch({.nranks = 2}, [](smpi::Communicator& comm) {
     const Grid g({8, 8}, {1.0, 1.0}, comm);
     TimeFunction u("u", g, 2, 1);
     Operator op = diffusion_operator(g, u);  // Mode None requested.
     EXPECT_EQ(op.options().mode, ir::MpiMode::Diagonal);
   });
-  ::unsetenv("JITFD_MPI");
   EXPECT_EQ(ir::mode_from_string("full"), ir::MpiMode::Full);
   EXPECT_EQ(ir::mode_from_string("1"), ir::MpiMode::Basic);
   EXPECT_THROW(ir::mode_from_string("bogus"), std::invalid_argument);
@@ -654,7 +655,7 @@ TEST(FpMode, CallerMxcsrIsRestoredAfterAThrowOutOfTheKernel) {
   char dir_template[] = "/tmp/jitfd_fpmode_XXXXXX";
   ASSERT_NE(::mkdtemp(dir_template), nullptr);
   const std::string dir(dir_template);
-  ::setenv("JITFD_FLIGHT_DIR", dir.c_str(), 1);
+  const ScopedEnv flight_dir("JITFD_FLIGHT_DIR", dir);
   jitfd::obs::flight::reset_for_testing();
   namespace health = jitfd::obs::health;
   try {
@@ -686,7 +687,6 @@ TEST(FpMode, CallerMxcsrIsRestoredAfterAThrowOutOfTheKernel) {
   } catch (const health::DivergenceError& e) {
     std::remove(e.dump_path().c_str());
   }
-  ::unsetenv("JITFD_FLIGHT_DIR");
   ::rmdir(dir.c_str());
   jitfd::obs::flight::reset_for_testing();
 }

@@ -29,12 +29,14 @@
 #include "smpi/runtime.h"
 #include "symbolic/fd_ops.h"
 #include "symbolic/manip.h"
+#include "scoped_env.h"
 
 namespace {
 
 using jitfd::core::Operator;
 using jitfd::grid::Grid;
 using jitfd::grid::TimeFunction;
+using jitfd::test::ScopedEnv;
 namespace ir = jitfd::ir;
 namespace sym = jitfd::sym;
 namespace obs = jitfd::obs;
@@ -267,7 +269,7 @@ TEST(Health, AbortDumpThrowsOnEveryRankAndWritesValidBundle) {
   char dir_template[] = "/tmp/jitfd_flight_XXXXXX";
   ASSERT_NE(::mkdtemp(dir_template), nullptr);
   const std::string dir(dir_template);
-  ::setenv("JITFD_FLIGHT_DIR", dir.c_str(), 1);
+  const ScopedEnv flight_dir("JITFD_FLIGHT_DIR", dir);
   obs::flight::reset_for_testing();
 
   std::int64_t owner = -1;
@@ -311,7 +313,6 @@ TEST(Health, AbortDumpThrowsOnEveryRankAndWritesValidBundle) {
     EXPECT_GE(check.health_samples, 1);
     std::remove(e.dump_path().c_str());
   }
-  ::unsetenv("JITFD_FLIGHT_DIR");
   ::rmdir(dir.c_str());
   obs::flight::reset_for_testing();
 }
@@ -321,7 +322,7 @@ TEST(Health, InjectNanHookPoisonsConfiguredRankAndStep) {
   // The CI self-test's fault injector: JITFD_INJECT_NAN=rank:step
   // poisons one interior point of the checked field at the top of that
   // step on that rank; the same step's check must catch it.
-  ::setenv("JITFD_INJECT_NAN", "2:1", 1);
+  const ScopedEnv inject("JITFD_INJECT_NAN", "2:1");
   smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
     const Grid g({16, 16}, {1.0, 1.0}, comm);
     Diffusion d(g);
@@ -338,7 +339,6 @@ TEST(Health, InjectNanHookPoisonsConfiguredRankAndStep) {
     EXPECT_EQ(run.health.first_bad_step, 1);
     EXPECT_EQ(run.health.first_bad_rank, 2);
   });
-  ::unsetenv("JITFD_INJECT_NAN");
 }
 
 TEST(Health, ChecksEmitStructuredEventsThatValidate) {

@@ -3,6 +3,9 @@
 // and the three pattern lowerings (paper Section III).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+
 #include "grid/function.h"
 #include "ir/lower.h"
 #include "models/acoustic.h"
@@ -334,6 +337,53 @@ TEST(Lowering, FullModeSplitsCoreAndRemainder) {
     EXPECT_LT(s.find("HaloUpdateStart"), s.find("Section core"));
     EXPECT_LT(s.find("Section core"), s.find("HaloWaitCall"));
     EXPECT_LT(s.find("HaloWaitCall"), s.find("Section remainder"));
+  });
+}
+
+TEST(Lowering, FullModeSplitPairsSpotWithItsOwnCluster) {
+  // Cluster 0 (a from u, pointwise) needs no exchange; cluster 1 reads
+  // the new a at offsets and has the only spot. The full-pattern split
+  // must be built from cluster 1, and cluster 0's nest must stay intact.
+  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
+    const Grid g({16, 16}, {1.0, 1.0}, comm);
+    const TimeFunction u("u", g, 2, 1);
+    const TimeFunction a("a", g, 2, 1);
+    const TimeFunction b("b", g, 2, 1);
+    const ir::Eq eq1(a.forward(), u.now() * 2);
+    const ir::Eq eq2(b.forward(), sym::diff(a.forward(), 0, 1, 2));
+    ir::LoweringInfo info;
+    ir::CompileOptions opts;
+    opts.mode = ir::MpiMode::Full;
+    const auto iet = ir::lower_to_iet({eq1, eq2}, g, opts, {}, info);
+    ASSERT_EQ(info.spots.size(), 1U);
+    ASSERT_EQ(info.spots[0].needs.size(), 1U);
+    EXPECT_EQ(info.spots[0].needs[0].field_id, a.field_id().id);
+    EXPECT_EQ(count_nodes(iet, ir::NodeType::HaloComm, ir::HaloCommKind::Start,
+                          true),
+              1);
+    EXPECT_EQ(count_nodes(iet, ir::NodeType::Section), 2);  // core+remainder.
+
+    // Field stores inside / outside the split's sections, by field id.
+    std::multiset<int> in_split;
+    std::multiset<int> outside;
+    const std::function<void(const ir::NodePtr&, bool)> visit =
+        [&](const ir::NodePtr& n, bool in_section) {
+          if (n->type == ir::NodeType::Expression &&
+              n->target.kind() == sym::Kind::FieldAccess) {
+            (in_section ? in_split : outside)
+                .insert(n->target.node().field.id);
+          }
+          for (const ir::NodePtr& c : n->body) {
+            visit(c, in_section || n->type == ir::NodeType::Section);
+          }
+        };
+    visit(iet, false);
+    // Core plus two remainder slabs (a is read along dimension 0 only),
+    // each storing b; a is stored once, outside the split.
+    EXPECT_EQ(in_split.count(b.field_id().id), 3U);
+    EXPECT_EQ(in_split.count(a.field_id().id), 0U);
+    EXPECT_EQ(outside.count(a.field_id().id), 1U);
+    EXPECT_EQ(outside.count(b.field_id().id), 0U);
   });
 }
 

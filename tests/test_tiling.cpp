@@ -2,26 +2,29 @@
 // BlockLoop IET nodes, tiled-vs-untiled bitwise equivalence across MPI
 // patterns x exchange depths x backends (the tiled schedule must be a
 // pure traversal-order change *within* each loop nest, so owned values
-// come out bit-identical), the JITFD_TILE process default, and time
-// tiling composed with the communication-avoiding strip machinery.
+// come out bit-identical), tiles inside communication-avoiding strips,
+// and the JITFD_TILE default.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <functional>
 #include <stdexcept>
+#include <string>
 
+#include "core/env.h"
 #include "core/operator.h"
 #include "grid/function.h"
 #include "ir/lower.h"
 #include "smpi/runtime.h"
 #include "symbolic/manip.h"
+#include "scoped_env.h"
 
 namespace {
 
 using jitfd::core::Operator;
-using jitfd::grid::Function;
 using jitfd::grid::Grid;
 using jitfd::grid::TimeFunction;
+using jitfd::test::ScopedEnv;
 namespace ir = jitfd::ir;
 namespace sym = jitfd::sym;
 
@@ -177,9 +180,9 @@ TEST(Tiling, TileLargerThanExtentClampsWithReasonAndStillRuns) {
 // --- Strip sub-steps carry tile loops --------------------------------------
 
 TEST(Tiling, StripSubStepsCarryTileLoops) {
-  // Classic (non-time-tiled) depth-2 strips with a spatial tile: every
-  // substep section's nest must be wrapped in a dim-0 BlockLoop so both
-  // backends execute the same tiled schedule inside strips.
+  // Depth-2 strips with a spatial tile: every substep section's nest
+  // must be wrapped in a dim-0 BlockLoop so both backends execute the
+  // same tiled schedule inside strips.
   jitfd::grid::Function::set_default_exchange_depth(2);
   smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
     const Grid g({32, 32}, {1.0, 1.0}, comm);
@@ -218,200 +221,61 @@ TEST(Tiling, StripSubStepsCarryTileLoops) {
   jitfd::grid::Function::set_default_exchange_depth(1);
 }
 
-TEST(Tiling, TimeTiledStripWalksSubStepsInsideBlockLoop) {
-  // Time tiling: the strip's sub-steps move INSIDE a serial dim-0
-  // BlockLoop (the walker), each sub-step's dim-0 Iteration carrying the
-  // trapezoid expansion; health checks trail as guarded sub-steps.
-  jitfd::grid::Function::set_default_exchange_depth(2);
-  jitfd::grid::Function::set_default_time_slack(1);
-  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
-    const Grid g({32, 32}, {1.0, 1.0}, comm);
-    const TimeFunction u("u", g, 2, 1);
-    ir::LoweringInfo info;
-    ir::CompileOptions opts;
-    opts.mode = ir::MpiMode::Basic;
-    opts.exchange_depth = 2;
-    opts.tile = {4, 0};
-    opts.time_tile = true;
-    const auto iet = ir::lower_to_iet({diffusion_eq(u)}, g, opts, {}, info);
-    ASSERT_EQ(info.exchange_depth, 2) << info.exchange_depth_clamp_reason;
-    ASSERT_TRUE(info.time_tile) << info.time_tile_clamp_reason;
-
-    const ir::NodePtr* time_loop = nullptr;
-    for (const ir::NodePtr& c : iet->body) {
-      if (c->type == ir::NodeType::TimeLoop) {
-        time_loop = &c;
-      }
-    }
-    ASSERT_NE(time_loop, nullptr);
-    const ir::NodePtr* walker = nullptr;
-    for (const ir::NodePtr& c : (*time_loop)->body) {
-      if (c->type == ir::NodeType::BlockLoop) {
-        walker = &c;
-      }
-    }
-    ASSERT_NE(walker, nullptr) << "no tile walker in the strip";
-    EXPECT_EQ((*walker)->dim, 0);
-    EXPECT_EQ((*walker)->tile, 4);
-    EXPECT_FALSE((*walker)->props.parallel);  // The walker is serial.
-    // Both sub-steps live inside the walker; sub-step 0's dim-0
-    // Iteration expands the window by the full chain width (so/2 = 1
-    // per remaining sub-step), sub-step 1 by none.
-    int inside = 0;
-    for (const ir::NodePtr& c : (*walker)->body) {
-      ASSERT_EQ(c->type, ir::NodeType::Section);
-      ASSERT_EQ(c->name, "substep");
-      const std::int64_t shift = c->time_shift;
-      const ir::NodePtr& x_loop = c->body.front();
-      ASSERT_EQ(x_loop->type, ir::NodeType::Iteration);
-      EXPECT_EQ(x_loop->dim, 0);
-      EXPECT_EQ(x_loop->tile_expand, 1 - shift);
-      ++inside;
-    }
-    EXPECT_EQ(inside, 2);
-  });
-  jitfd::grid::Function::set_default_time_slack(0);
-  jitfd::grid::Function::set_default_exchange_depth(1);
-}
-
-// --- Time-tiling equivalence ------------------------------------------------
-
-TEST(Tiling, TimeTiledStripMatchesClassicStrip) {
-  const std::int64_t n = 21;
-  const int steps = 5;  // Partial strip: the walker's last sub-step guards.
-  auto run = [&](Operator::Backend backend, bool time_tile, int slack) {
-    std::vector<float> out;
-    jitfd::grid::Function::set_default_exchange_depth(4);
-    jitfd::grid::Function::set_default_time_slack(slack);
-    smpi::launch({.nranks = 4}, [&](smpi::Communicator& comm) {
-      const Grid g({n, n}, {1.0, 1.0}, comm);
-      TimeFunction u("u", g, 2, 1);
-      u.fill_global_box(0, std::vector<std::int64_t>{3, 5},
-                        std::vector<std::int64_t>{15, 17}, 1.0F);
-      ir::CompileOptions opts;
-      opts.mode = ir::MpiMode::Basic;
-      opts.exchange_depth = 2;
-      if (time_tile) {
-        opts.tile = {4, 0};
-        opts.time_tile = true;
-      }
-      Operator op({diffusion_eq(u)}, opts);
-      ASSERT_EQ(op.info().exchange_depth, 2)
-          << op.info().exchange_depth_clamp_reason;
-      if (time_tile) {
-        ASSERT_TRUE(op.info().time_tile) << op.info().time_tile_clamp_reason;
-      }
-      op.set_default_backend(backend);
-      op.apply({.time_m = 0, .time_M = steps - 1, .scalars = {{"dt", 1e-3}}});
-      const auto got = u.gather(steps % u.time_buffers());
-      if (comm.rank() == 0) {
-        out = got;
-      }
-    });
-    jitfd::grid::Function::set_default_time_slack(0);
-    jitfd::grid::Function::set_default_exchange_depth(1);
-    return out;
-  };
-  for (const Operator::Backend backend :
-       {Operator::Backend::Interpret, Operator::Backend::Jit}) {
-    if (backend == Operator::Backend::Jit && !have_cc()) {
-      continue;
-    }
-    const auto classic = run(backend, false, 0);
-    const auto tiled = run(backend, true, 1);
-    ASSERT_EQ(classic.size(), tiled.size());
-    ASSERT_FALSE(classic.empty());
-    double mass = 0.0;
-    for (std::size_t i = 0; i < classic.size(); ++i) {
-      ASSERT_EQ(classic[i], tiled[i])
-          << "backend " << jitfd::core::to_string(backend) << " at " << i;
-      mass += std::abs(static_cast<double>(classic[i]));
-    }
-    EXPECT_GT(mass, 0.0);
-  }
-}
-
-TEST(Tiling, TimeTileWithoutBufferSlackClampsWithReason) {
-  // Without extra time buffers a tile finishing all k sub-steps would
-  // clobber slots later tiles still read: the request must clamp, name
-  // the field, and fall back to the classic (still correct) strip walk.
-  jitfd::grid::Function::set_default_exchange_depth(2);
-  smpi::launch({.nranks = 4}, [](smpi::Communicator& comm) {
-    const Grid g({32, 32}, {1.0, 1.0}, comm);
-    TimeFunction u("u", g, 2, 1);
-    ir::CompileOptions opts;
-    opts.mode = ir::MpiMode::Basic;
-    opts.exchange_depth = 2;
-    opts.tile = {4, 0};
-    opts.time_tile = true;
-    Operator op({diffusion_eq(u)}, opts);
-    EXPECT_FALSE(op.info().time_tile);
-    EXPECT_NE(op.info().time_tile_clamp_reason.find("u"), std::string::npos)
-        << op.info().time_tile_clamp_reason;
-    op.apply({.time_m = 0, .time_M = 3, .scalars = {{"dt", 1e-3}}});
-  });
-  jitfd::grid::Function::set_default_exchange_depth(1);
-}
-
 // --- JITFD_TILE / process defaults -----------------------------------------
 
 TEST(Tiling, ParseTileIsStrict) {
-  EXPECT_TRUE(Function::parse_tile("").empty());
-  EXPECT_EQ(Function::parse_tile("16"), (std::vector<std::int64_t>{16}));
-  EXPECT_EQ(Function::parse_tile("16,8,0"),
-            (std::vector<std::int64_t>{16, 8, 0}));
+  auto parse = [](const std::string& text) {
+    const ScopedEnv tile("JITFD_TILE", text);
+    return jitfd::env::get_int_list("JITFD_TILE");
+  };
+  EXPECT_TRUE(jitfd::env::get_int_list("JITFD_TILE").empty());  // Unset.
+  EXPECT_TRUE(parse("").empty());
+  EXPECT_EQ(parse("16"), (std::vector<std::int64_t>{16}));
+  EXPECT_EQ(parse("16,8,0"), (std::vector<std::int64_t>{16, 8, 0}));
   // Empty tokens mean "untiled in this dimension"; anything non-numeric
-  // is a hard configuration error rather than a silent 0.
-  EXPECT_EQ(Function::parse_tile("8,,2"), (std::vector<std::int64_t>{8, 0, 2}));
-  EXPECT_THROW(Function::parse_tile("x,4"), std::invalid_argument);
-  EXPECT_THROW(Function::parse_tile("16,8cols"), std::invalid_argument);
+  // is a hard configuration error naming the variable, never a silent 0.
+  EXPECT_EQ(parse("8,,2"), (std::vector<std::int64_t>{8, 0, 2}));
+  EXPECT_THROW(parse("16,8cols"), std::invalid_argument);
+  try {
+    parse("x,4");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& ex) {
+    EXPECT_NE(std::string(ex.what()).find("JITFD_TILE"), std::string::npos)
+        << ex.what();
+  }
+  // The Operator reads the same strict parse.
+  const ScopedEnv tile("JITFD_TILE", "4x");
+  const Grid g({32, 32}, {1.0, 1.0});
+  TimeFunction u("u", g, 2, 1);
+  EXPECT_THROW(Operator({diffusion_eq(u)}), std::invalid_argument);
 }
 
 TEST(Tiling, DefaultTileAppliesWhenOptionsLeaveTileEmpty) {
-  // The JITFD_TILE path: the env var initializes this same process-wide
-  // default, so the setter exercises identical plumbing.
-  Function::set_default_tile({4, 0});
   {
-    const Grid g({32, 32}, {1.0, 1.0});
-    TimeFunction u("u", g, 2, 1);
-    Operator op({diffusion_eq(u)});
-    EXPECT_EQ(op.info().tile, (std::vector<std::int64_t>{4, 0}));
-    EXPECT_TRUE(op.info().tile_clamp_reason.empty());
+    const ScopedEnv tile("JITFD_TILE", "4,0");
+    {
+      const Grid g({32, 32}, {1.0, 1.0});
+      TimeFunction u("u", g, 2, 1);
+      Operator op({diffusion_eq(u)});
+      EXPECT_EQ(op.info().tile, (std::vector<std::int64_t>{4, 0}));
+      EXPECT_TRUE(op.info().tile_clamp_reason.empty());
+    }
+    {
+      const Grid g({32, 32}, {1.0, 1.0});
+      TimeFunction u("u", g, 2, 1);
+      ir::CompileOptions opts;
+      opts.tile = {0, 0};  // Explicit (non-empty) options win over the env.
+      Operator op({diffusion_eq(u)}, opts);
+      EXPECT_EQ(op.info().tile, (std::vector<std::int64_t>{0, 0}));
+    }
   }
   // Clamp-and-record: an infeasible default is not an error.
-  {
-    const Grid g({32, 32}, {1.0, 1.0});
-    TimeFunction u("u", g, 2, 1);
-    ir::CompileOptions opts;
-    opts.tile = {0, 0};  // Explicit (non-empty) options win over defaults.
-    Operator op({diffusion_eq(u)}, opts);
-    EXPECT_EQ(op.info().tile, (std::vector<std::int64_t>{0, 0}));
-  }
-  Function::set_default_tile({64, 4});
-  {
-    const Grid g({32, 32}, {1.0, 1.0});
-    TimeFunction u("u", g, 2, 1);
-    Operator op({diffusion_eq(u)});
-    EXPECT_EQ(op.info().tile, (std::vector<std::int64_t>{0, 0}));
-    EXPECT_FALSE(op.info().tile_clamp_reason.empty());
-  }
-  Function::set_default_tile({});
-}
-
-TEST(Tiling, TimeSlackSetterValidatesAndWidensBuffers) {
-  EXPECT_THROW(Function::set_default_time_slack(-1), std::invalid_argument);
-  Function::set_default_time_slack(2);
-  const Grid g({8, 8}, {1.0, 1.0});
-  const TimeFunction u("u", g, 2, 1);
-  EXPECT_EQ(u.time_buffers(), 4);  // time_order + 1 + slack.
-  Function::set_default_time_slack(0);
-  const TimeFunction v("v", g, 2, 1);
-  EXPECT_EQ(v.time_buffers(), 2);
-  // Saved fields ignore slack (identity indexing needs no window).
-  Function::set_default_time_slack(3);
-  const TimeFunction w("w", g, 2, 1, 0, /*save=*/6);
-  EXPECT_EQ(w.time_buffers(), 6);
-  Function::set_default_time_slack(0);
+  const ScopedEnv tile("JITFD_TILE", "64,4");
+  const Grid g({32, 32}, {1.0, 1.0});
+  TimeFunction u("u", g, 2, 1);
+  Operator op({diffusion_eq(u)});
+  EXPECT_EQ(op.info().tile, (std::vector<std::int64_t>{0, 0}));
+  EXPECT_FALSE(op.info().tile_clamp_reason.empty());
 }
 
 // --- Emitted SIMD annotations ----------------------------------------------

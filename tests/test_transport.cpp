@@ -29,6 +29,7 @@
 #include "smpi/cart.h"
 #include "smpi/runtime.h"
 #include "sparse/sparse_function.h"
+#include "scoped_env.h"
 
 namespace {
 
@@ -47,28 +48,7 @@ using smpi::TransportKind;
 namespace ir = jitfd::ir;
 namespace obs = jitfd::obs;
 
-/// Scoped environment override (process-wide; tests run single-threaded).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    old_ = had_ ? old : "";
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_;
-  std::string old_;
-};
+using jitfd::test::ScopedEnv;
 
 // --- Transport selection ----------------------------------------------------
 
