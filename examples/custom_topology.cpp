@@ -8,6 +8,8 @@
 //   ./custom_topology [nranks]   (default 8)
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/operator.h"
@@ -63,7 +65,9 @@ std::string topo_name(const std::vector<int>& t) {
   if (t.empty()) {
     return "default";
   }
-  return "(" + std::to_string(t[0]) + "," + std::to_string(t[1]) + ")";
+  std::ostringstream os;
+  os << '(' << t[0] << ',' << t[1] << ')';
+  return os.str();
 }
 
 }  // namespace

@@ -92,11 +92,15 @@ class Emitter {
         if (parens) {
           os << '(';
         }
-        for (std::size_t i = 0; i < n.args.size(); ++i) {
-          if (i > 0) {
-            os << " + ";
+        // Negated operands are subtracted, in the order count_flops
+        // charges for; a Mul operand prints without parentheses.
+        const std::vector<sym::SumTerm> terms = sym::sum_terms(e);
+        for (std::size_t i = 0; i < terms.size(); ++i) {
+          if (terms[i].negated) {
+            os << (i > 0 ? " - " : "-") << expr(terms[i].term, 2);
+          } else {
+            os << (i > 0 ? " + " : "") << expr(terms[i].term, 1);
           }
-          os << expr(n.args[i], 1);
         }
         if (parens) {
           os << ')';

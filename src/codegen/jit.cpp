@@ -86,11 +86,18 @@ std::string run_command(const std::string& cmd, int& exit_code) {
   return output;
 }
 
+/// `path` with a process-unique ".<pid>.tmp" suffix.
+fs::path tmp_path(fs::path path) {
+  path += '.';
+  path += std::to_string(static_cast<long>(::getpid()));
+  path += ".tmp";
+  return path;
+}
+
 /// Write `data` to `dest` atomically (tmp + rename), so a concurrent
 /// process sharing $JITFD_CACHE_DIR never observes a partial file.
 void write_file_atomic(const fs::path& dest, const std::string& data) {
-  fs::path tmp = dest;
-  tmp += "." + std::to_string(static_cast<long>(::getpid())) + ".tmp";
+  const fs::path tmp = tmp_path(dest);
   {
     std::ofstream out(tmp, std::ios::binary);
     out << data;
@@ -138,8 +145,7 @@ void compile(const std::string& source, const std::string& compiler,
   // Compile to a process-unique name, then publish with an atomic
   // rename; concurrent processes racing on the same key both succeed
   // and the loser's rename simply replaces an identical file.
-  fs::path build_path = so_path;
-  build_path += "." + std::to_string(static_cast<long>(::getpid())) + ".tmp";
+  const fs::path build_path = tmp_path(so_path);
   std::ostringstream cmd;
   cmd << compiler << ' ' << flags << " -o " << build_path.string() << ' '
       << src_path.string() << " -lm";
@@ -182,14 +188,24 @@ class RestoreFpMode {
 
 }  // namespace
 
+std::string compile_flags(bool openmp) {
+  // Generated code never reads errno, and IEEE sqrt is correctly rounded
+  // (NaN for a negative argument) either way: -fno-math-errno only drops
+  // the errno branch gcc keeps around each sqrtf call, which otherwise
+  // stops the loop holding it from vectorizing. Not -ffast-math, which
+  // would fold the health sweeps' `v != v` NaN tests and reassociate sums.
+  std::string flags = "-O3 -march=native -shared -fPIC -fno-math-errno";
+  if (openmp) {
+    flags += " -fopenmp";
+  }
+  return flags;
+}
+
 JitKernel::JitKernel(const std::string& source, bool openmp) {
   jitfd::obs::Span build_span("jit.build", jitfd::obs::Cat::Jit,
                               static_cast<std::int64_t>(source.size()));
   const std::string compiler = jitfd::env::get_string("JITFD_CC", "cc");
-  std::string flags = "-O3 -march=native -shared -fPIC";
-  if (openmp) {
-    flags += " -fopenmp";
-  }
+  const std::string flags = compile_flags(openmp);
   const std::string key =
       sha256_hex(compiler + '\n' + flags + '\n' + source);
 

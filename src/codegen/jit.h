@@ -35,14 +35,20 @@ struct JitHaloOps {
       nullptr;
 };
 
+/// The flags every kernel is compiled with, `-fopenmp` included when
+/// `openmp` is set. Part of the cache key; exposed so a build of the
+/// generated C outside the JIT (the vectorization gate) sees the same
+/// optimizer.
+std::string compile_flags(bool openmp = true);
+
 /// A compiled-and-loaded kernel. Movable, not copyable; unloads the
 /// shared object on destruction (the cached .so stays on disk).
 class JitKernel {
  public:
   /// Compile `source` (a C translation unit), or reuse a cached build of
-  /// the identical (compiler, flags, source) triple. `openmp` adds
-  /// -fopenmp. Throws std::runtime_error with the compiler diagnostics
-  /// on failure.
+  /// the identical (compiler, flags, source) triple, built with
+  /// compile_flags(openmp). Throws std::runtime_error with the compiler
+  /// diagnostics on failure.
   explicit JitKernel(const std::string& source, bool openmp = true);
   ~JitKernel();
 

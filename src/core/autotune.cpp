@@ -88,7 +88,10 @@ std::string tile_text(const std::vector<std::int64_t>& tile) {
   }
   std::string out = "tile ";
   for (std::size_t i = 0; i < tile.size(); ++i) {
-    out += (i > 0 ? "," : "") + std::to_string(tile[i]);
+    if (i > 0) {
+      out += ',';
+    }
+    out += std::to_string(tile[i]);
   }
   return out;
 }

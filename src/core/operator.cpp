@@ -9,10 +9,12 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "codegen/emit.h"
 #include "core/env.h"
 #include "obs/flight.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "symbolic/manip.h"
@@ -376,18 +378,19 @@ RunSummary Operator::apply(const ApplyArgs& args) {
       }
       shape << ']';
       obs::flight::set_config("grid_shape", shape.str());
-      obs::flight::set_config("mode",
-                              "\"" + std::string(ir::to_string(opts_.mode)) +
-                                  "\"");
+      const auto json_string = [](std::string_view s) {
+        std::ostringstream os;
+        obs::json::quote(os, s);
+        return os.str();
+      };
+      obs::flight::set_config("mode", json_string(ir::to_string(opts_.mode)));
       obs::flight::set_config(
           "exchange_depth", std::to_string(info_.exchange_depth));
-      obs::flight::set_config(
-          "backend", "\"" + std::string(to_string(out.backend)) + "\"");
+      obs::flight::set_config("backend", json_string(to_string(out.backend)));
       obs::flight::set_config("health_interval",
                               std::to_string(args.health_interval));
       obs::flight::set_config(
-          "on_nan",
-          "\"" + std::string(obs::health::to_string(args.on_nan)) + "\"");
+          "on_nan", json_string(obs::health::to_string(args.on_nan)));
       obs::flight::set_config(
           "ranks",
           std::to_string(grid_->distributed() ? grid_->cart()->size() : 1));

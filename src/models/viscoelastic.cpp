@@ -13,17 +13,18 @@ ViscoelasticModel::ViscoelasticModel(const grid::Grid& grid, int space_order,
     : grid_(&grid), vp_(vp) {
   const int nd = grid.ndims();
   for (int i = 0; i < nd; ++i) {
-    v_.push_back(std::make_unique<grid::TimeFunction>(
-        "v" + grid::Grid::dim_name(i), grid, space_order, 1));
+    const std::string name = std::string("v").append(grid::Grid::dim_name(i));
+    v_.push_back(std::make_unique<grid::TimeFunction>(name, grid, space_order,
+                                                      1));
   }
   for (int i = 0; i < nd; ++i) {
     for (int j = i; j < nd; ++j) {
+      const std::string ij =
+          grid::Grid::dim_name(i).append(grid::Grid::dim_name(j));
       tau_.push_back(std::make_unique<grid::TimeFunction>(
-          "t" + grid::Grid::dim_name(i) + grid::Grid::dim_name(j), grid,
-          space_order, 1));
+          std::string("t").append(ij), grid, space_order, 1));
       r_.push_back(std::make_unique<grid::TimeFunction>(
-          "r" + grid::Grid::dim_name(i) + grid::Grid::dim_name(j), grid,
-          space_order, 1));
+          std::string("r").append(ij), grid, space_order, 1));
     }
   }
   b_ = std::make_unique<grid::Function>("b", grid, space_order);

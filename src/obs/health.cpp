@@ -48,8 +48,9 @@ void Monitor::on_check(int field_id, std::int64_t time,
   Sample s;
   s.step = time;
   s.field_id = field_id;
-  s.field = opts_.field_name ? opts_.field_name(field_id)
-                             : "f" + std::to_string(field_id);
+  s.field = opts_.field_name
+                ? opts_.field_name(field_id)
+                : std::string("f").append(std::to_string(field_id));
 
   // Cross-rank reduction. The guard (time % interval == 0) is baked
   // identically into every rank's kernel, so these collectives match in

@@ -210,7 +210,10 @@ std::string tile_str(const std::vector<std::int64_t>& tile) {
   }
   std::string s;
   for (std::size_t d = 0; d < tile.size(); ++d) {
-    s += (d > 0 ? "x" : "") + std::to_string(tile[d]);
+    if (d > 0) {
+      s += 'x';
+    }
+    s += std::to_string(tile[d]);
   }
   return s;
 }

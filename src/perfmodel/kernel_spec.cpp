@@ -127,7 +127,7 @@ KernelSpec tti_spec(bool derive) {
   s.fields = 12;
   s.comm_fields = 4;  // p@t, q@t and the CIRE temporaries zdp, zdq.
   s.nspots = 2;
-  s.flops_by_so = {{4, 184}, {8, 298}, {12, 412}, {16, 526}};
+  s.flops_by_so = {{4, 159}, {8, 249}, {12, 339}, {16, 429}};
   s.strong_domain = {{Target::Cpu, 1024}, {Target::Gpu, 896}};
   s.timesteps = 290;
   s.eff_bw = {{Target::Cpu, 0.50}, {Target::Gpu, 0.22}};
@@ -142,7 +142,7 @@ KernelSpec elastic_spec(bool derive) {
   s.fields = 22;
   s.comm_fields = 9;  // tau (6) @t, v (3) @t+1.
   s.nspots = 2;
-  s.flops_by_so = {{4, 207}, {8, 351}, {12, 495}, {16, 639}};
+  s.flops_by_so = {{4, 171}, {8, 279}, {12, 387}, {16, 495}};
   s.strong_domain = {{Target::Cpu, 1024}, {Target::Gpu, 832}};
   s.timesteps = 363;
   s.eff_bw = {{Target::Cpu, 0.43}, {Target::Gpu, 0.23}};
@@ -158,7 +158,7 @@ KernelSpec viscoelastic_spec(bool derive) {
   s.comm_fields = 9;   // tau (6) @t, v (3) @t+1 (r is read point-wise).
   s.comm_factor = 1.65;  // Paper: its code also exchanges the memory vars.
   s.nspots = 2;
-  s.flops_by_so = {{4, 251}, {8, 395}, {12, 539}, {16, 683}};
+  s.flops_by_so = {{4, 223}, {8, 331}, {12, 439}, {16, 547}};
   s.strong_domain = {{Target::Cpu, 768}, {Target::Gpu, 704}};
   s.timesteps = 251;
   s.eff_bw = {{Target::Cpu, 0.47}, {Target::Gpu, 0.20}};

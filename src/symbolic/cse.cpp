@@ -1,5 +1,6 @@
 #include "symbolic/cse.h"
 
+#include <cmath>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -44,8 +45,16 @@ struct ExEq {
 };
 using CountMap = std::unordered_map<Ex, int, ExHash, ExEq>;
 
+bool is_negation(const Ex& e) {
+  const auto& args = e.node().args;
+  return e.kind() == Kind::Mul && args.size() == 2 &&
+         args.front().is_number() && args.front().number() == -1.0;
+}
+
 void count_subtrees(const Ex& e, CountMap& counts) {
-  if (count_flops(e) >= 1) {
+  // A negation is not worth a temporary: inside a sum it is free (the sum
+  // subtracts its operand), so only the operand is a candidate.
+  if (count_flops(e) >= 1 && !is_negation(e)) {
     ++counts[e];
   }
   for (const Ex& a : e.node().args) {
@@ -193,24 +202,36 @@ Ex factorize(const Ex& e) {
   const ExprNode& n = e.node();
   switch (n.kind) {
     case Kind::Add: {
-      // Recurse first, then group terms sharing a numeric coefficient.
-      std::map<double, std::vector<Ex>> groups;
+      // Recurse first, then group terms whose numeric coefficients share a
+      // magnitude: c*a + c*b -> c*(a + b), and an antisymmetric pair
+      // c*a + (-c)*b -> c*(a - b) (one multiply, the negation becomes a
+      // subtraction). A group of one sign keeps its signed coefficient.
+      struct Group {
+        std::vector<std::pair<double, Ex>> terms;  // (coefficient, rest)
+        bool mixed = false;
+      };
+      std::map<double, Group> groups;
       std::vector<Ex> out;
       for (const Ex& a : n.args) {
         const Ex fa = factorize(a);
         const auto [coeff, rest] = split_numeric_coefficient(fa);
         if (coeff != 1.0 && !rest.is_one()) {
-          groups[coeff].push_back(rest);
+          Group& g = groups[std::abs(coeff)];
+          g.mixed = g.mixed || (!g.terms.empty() && g.terms[0].first != coeff);
+          g.terms.emplace_back(coeff, rest);
         } else {
           out.push_back(fa);
         }
       }
-      for (auto& [coeff, rests] : groups) {
-        if (rests.size() >= 2) {
-          out.push_back(make_mul({number(coeff), make_add(std::move(rests))}));
-        } else {
-          out.push_back(make_mul({number(coeff), rests.front()}));
+      for (auto& [magnitude, g] : groups) {
+        const double c = g.mixed ? magnitude : g.terms[0].first;
+        std::vector<Ex> rests;
+        for (auto& [coeff, rest] : g.terms) {
+          rests.push_back(coeff == c ? rest : -rest);
         }
+        out.push_back(make_mul({number(c), rests.size() == 1
+                                               ? rests.front()
+                                               : make_add(std::move(rests))}));
       }
       return make_add(std::move(out));
     }

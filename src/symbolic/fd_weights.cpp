@@ -121,6 +121,16 @@ Stencil1D staggered_stencil(int space_order, int side) {
     }
   }
   st.weights = fornberg_weights(1, 0.0, nodes);
+  // The nodes are symmetric about the evaluation point, so the exact
+  // weights are antisymmetric; snap them as central_stencil does.
+  const std::size_t n = st.weights.size();
+  for (std::size_t i = 0; i < n / 2; ++i) {
+    double& lo = st.weights[i];
+    double& hi = st.weights[n - 1 - i];
+    const double w = 0.5 * (hi - lo);
+    hi = w;
+    lo = -w;
+  }
   return st;
 }
 

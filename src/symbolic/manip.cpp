@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace jitfd::sym {
 
@@ -182,6 +183,33 @@ std::vector<Ex> field_accesses(const Ex& e) {
   return out;
 }
 
+namespace {
+
+/// A canonical negation: a Mul whose numeric coefficient is -1.
+bool is_negated(const Ex& e) {
+  const auto& factors = e.node().args;
+  return e.kind() == Kind::Mul && factors.front().is_number() &&
+         factors.front().number() == -1.0;
+}
+
+}  // namespace
+
+std::vector<SumTerm> sum_terms(const Ex& e) {
+  std::vector<SumTerm> terms;
+  for (const Ex& a : e.node().args) {
+    if (is_negated(a)) {
+      const auto& factors = a.node().args;
+      terms.push_back({make_mul({factors.begin() + 1, factors.end()}), true});
+    } else {
+      terms.push_back({a, false});
+    }
+  }
+  if (terms.size() >= 2 && terms[0].negated && !terms[1].negated) {
+    std::swap(terms[0], terms[1]);
+  }
+  return terms;
+}
+
 int count_flops(const Ex& e) {
   const ExprNode& n = e.node();
   switch (n.kind) {
@@ -189,7 +217,16 @@ int count_flops(const Ex& e) {
     case Kind::Symbol:
     case Kind::FieldAccess:
       return 0;
-    case Kind::Add:
+    case Kind::Add: {
+      // As sum_terms evaluates it, without building the terms: a negated
+      // operand's -1 factor is free, and only a sum whose first two
+      // operands are negated starts with a negation.
+      int ops = static_cast<int>(n.args.size()) - 1;
+      for (const Ex& a : n.args) {
+        ops += count_flops(a) - (is_negated(a) ? 1 : 0);
+      }
+      return ops + (is_negated(n.args[0]) && is_negated(n.args[1]) ? 1 : 0);
+    }
     case Kind::Mul: {
       int ops = static_cast<int>(n.args.size()) - 1;
       for (const Ex& a : n.args) {

@@ -50,10 +50,25 @@ Ex solve(const Ex& lhs, const Ex& rhs, const Ex& target);
 /// duplicates included.
 std::vector<Ex> field_accesses(const Ex& e);
 
+/// One operand of a sum as it is evaluated: `negated` terms (canonically
+/// (-1)*x) are subtracted, so `term` is x without the -1 factor.
+struct SumTerm {
+  Ex term;
+  bool negated = false;
+};
+
+/// The operands of the Add `e` in evaluation order: canonical order,
+/// except that a negated first operand swaps with a plain second one (so
+/// `-a + b` evaluates as `b - a`, the same IEEE result). Only a sum whose
+/// first two operands are both negated starts with a negation.
+std::vector<SumTerm> sum_terms(const Ex& e);
+
 /// Floating-point operation count of the *evaluated* expression:
-/// n-ary Add/Mul of k operands count k-1 ops; Pow counts 1 (division) for
-/// exponent -1, otherwise |exponent| - 1 multiplies for small integer
-/// exponents and 1 op for the general case.
+/// n-ary Add/Mul of k operands count k-1 ops, a negated operand of a sum
+/// costs nothing beyond its subtraction (see sum_terms), a leading
+/// negation 1; Pow counts 1 (division) for exponent -1, otherwise
+/// |exponent| - 1 multiplies for small integer exponents and 1 op for the
+/// general case.
 int count_flops(const Ex& e);
 
 }  // namespace jitfd::sym

@@ -435,7 +435,7 @@ TEST(Lowering, SolvedUpdatesStayFactored) {
   const auto facts_ac = jitfd::models::analyze(*op_ac, "acoustic", 8, 5);
   const auto facts_tti = jitfd::models::analyze(*op_tti, "tti", 8, 16);
   EXPECT_LE(facts_ac.flops_per_point, 70);
-  EXPECT_LE(facts_tti.flops_per_point, 320);
+  EXPECT_LE(facts_tti.flops_per_point, 256);
 
   // The acoustic update divides once per point: a single reciprocal
   // among the statements inside the time loop.

@@ -164,6 +164,24 @@ TEST(Manip, FlopCounting) {
   EXPECT_EQ(count_flops(x * y + 2 * x), 3);
   EXPECT_EQ(count_flops(pow(x, -1)), 1);
   EXPECT_EQ(count_flops(x), 0);
+  // A negated operand of a sum is subtracted, not multiplied by -1; only
+  // a sum that must start with a negation pays for it.
+  EXPECT_EQ(count_flops(x - y), 1);
+  EXPECT_EQ(count_flops(x - y * symbol("z")), 2);
+  EXPECT_EQ(count_flops(-x - y), 2);
+  EXPECT_EQ(count_flops(-x), 1);
+}
+
+TEST(Manip, SumTermsSubtractNegatedOperands) {
+  const Ex a = symbol("a");
+  const Ex b = symbol("b");
+  // Canonical order puts -a first; the plain b swaps in front of it.
+  const auto terms = sum_terms(b - a);
+  ASSERT_EQ(terms.size(), 2U);
+  EXPECT_TRUE(terms[0].term == b && !terms[0].negated);
+  EXPECT_TRUE(terms[1].term == a && terms[1].negated);
+  const auto both = sum_terms(-a - b);
+  EXPECT_TRUE(both[0].negated && both[1].negated);
 }
 
 TEST(Cse, ExtractsRepeatedSubexpressions) {
@@ -220,6 +238,38 @@ TEST(Cse, FactorizationGroupsSharedCoefficients) {
   // Semantics preserved: substitute values and compare.
   const std::vector<std::pair<Ex, Ex>> vals{{a, Ex(2)}, {b, Ex(3)}, {c, Ex(5)}};
   EXPECT_TRUE(substitute(f, vals) == substitute(e, vals));
+}
+
+TEST(Cse, FactorizationPairsAntisymmetricTaps) {
+  // c*a + (-c)*b shares one multiply: c*(a - b), 2 flops instead of 3.
+  const Ex a = symbol("a");
+  const Ex b = symbol("b");
+  const Ex c = symbol("c");
+  const Ex d = symbol("d");
+  const Ex e = 0.8 * a - 0.8 * b + 0.2 * c - 0.2 * d;
+  const Ex f = factorize(e);
+  EXPECT_TRUE(f == 0.8 * (a - b) + 0.2 * (c - d)) << f.to_string();
+  EXPECT_EQ(count_flops(e), 7);
+  EXPECT_EQ(count_flops(f), 5);
+  // A group of one sign keeps its signed coefficient.
+  EXPECT_TRUE(factorize(-0.5 * a - 0.5 * b) == -0.5 * (a + b));
+  const std::vector<std::pair<Ex, Ex>> vals{
+      {a, Ex(2)}, {b, Ex(3)}, {c, Ex(5)}, {d, Ex(7)}};
+  EXPECT_NEAR(substitute(f, vals).number(), substitute(e, vals).number(),
+              1e-12);
+}
+
+TEST(Cse, NegationIsNeverATemporary) {
+  // -(a + b) occurs twice; only a + b is worth a temp, and each sum
+  // subtracts it.
+  const Ex a = symbol("a");
+  const Ex b = symbol("b");
+  const auto result = cse({symbol("x") - (a + b), symbol("y") - (a + b)});
+  ASSERT_EQ(result.temps.size(), 1U);
+  EXPECT_TRUE(result.temps[0].value == a + b);
+  const Ex r = symbol(result.temps[0].name);
+  EXPECT_TRUE(result.exprs[0] == symbol("x") - r);
+  EXPECT_EQ(count_flops(result.exprs[1]), 1);
 }
 
 // --- FD weights -----------------------------------------------------------
@@ -305,6 +355,19 @@ TEST(FdWeights, CentralWeightsAreExactlyMirrorSymmetric) {
         EXPECT_EQ(st.weights[static_cast<std::size_t>(r - k)],
                   sign * st.weights[static_cast<std::size_t>(r + k)])
             << "so=" << so << " m=" << m << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(FdWeights, StaggeredWeightsAreExactlyAntisymmetric) {
+  for (int so = 2; so <= 16; so += 2) {
+    for (const int side : {1, -1}) {
+      const auto st = staggered_stencil(so, side);
+      const std::size_t n = st.weights.size();
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(st.weights[i], -st.weights[n - 1 - i])
+            << "so=" << so << " side=" << side << " i=" << i;
       }
     }
   }
