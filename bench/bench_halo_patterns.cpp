@@ -1,18 +1,16 @@
-// Measured halo-exchange step time of the three DMP patterns on the
-// thread-backed substrate (2-8 ranks). Complements the analytical model:
-// these are *real* exchanges through the runtime used by every test, at
-// laptop scale, demonstrating the relative per-exchange costs (buffer
-// allocation in basic, message count in diagonal, start/wait split in
-// full) and the halo-spot optimization ablation.
+// Measured halo-exchange runs of the three DMP patterns on the rank
+// substrate used by every test, in two gated modes (one is required;
+// without either the binary prints usage and exits 2):
 //
-// A second entry point, --comm-avoid, measures communication-avoiding
-// deep-halo stepping: pattern x exchange-depth wall times on a small,
-// latency-bound grid, emitted through the shared JSON reporter
-// (bench/BENCH_comm_avoid.json is a committed run of it).
+// --comm-avoid measures communication-avoiding deep-halo stepping:
+// pattern x exchange-depth wall times on a small, latency-bound grid,
+// emitted through the shared JSON reporter (bench/BENCH_comm_avoid.json
+// is a committed run of it). Its k=1 rows time the three patterns'
+// per-step exchange.
 //
-// A third entry point, --drift, runs one traced diffusion step loop per
-// pattern, lifts the trace into the perfmodel's measured-vs-predicted
-// comparison (perfmodel/compare.h), and emits the drift gates (overlap
+// --drift runs one traced diffusion step loop per pattern, lifts the
+// trace into the perfmodel's measured-vs-predicted comparison
+// (perfmodel/compare.h), and emits the drift gates (overlap
 // efficiency, comm fraction, redundant share) through the series
 // schema's "drift" object — bench/BENCH_drift.json is a committed run,
 // and the perf sentinel holds fresh runs inside the committed bands.
@@ -20,16 +18,15 @@
 // the emitted report (only the BASELINE's band is contractual);
 // --band-overlap/--band-comm/--band-redundant override it per metric.
 //
-// --transport=threads|process_shm selects the rank realization for every
-// benchmark in this binary (default: threads, or JITFD_TRANSPORT).
-#include <benchmark/benchmark.h>
-
+// --transport=threads|process_shm selects the rank realization for both
+// modes (default: threads, or JITFD_TRANSPORT).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "bench_util.h"
 #include "core/operator.h"
@@ -51,72 +48,8 @@ using jitfd::grid::TimeFunction;
 namespace ir = jitfd::ir;
 namespace sym = jitfd::sym;
 
-constexpr std::int64_t kEdge = 96;
-constexpr int kStepsPerIteration = 20;
-
 // Set once in main() from --transport=; unset follows JITFD_TRANSPORT.
 std::optional<smpi::TransportKind> g_transport;
-
-void run_steps(benchmark::State& state, ir::MpiMode mode, int nranks,
-               int space_order, bool halo_opt) {
-  std::int64_t steps_done = 0;
-  for (auto _ : state) {
-    smpi::launch({.nranks = nranks, .transport = g_transport},
-                 [&](smpi::Communicator& comm) {
-      const Grid g({kEdge, kEdge}, {1.0, 1.0}, comm);
-      TimeFunction u("u", g, space_order, 1);
-      u.fill_global_box(0, std::vector<std::int64_t>{kEdge / 4, kEdge / 4},
-                        std::vector<std::int64_t>{kEdge / 2, kEdge / 2},
-                        1.0F);
-      ir::CompileOptions opts;
-      opts.mode = mode;
-      opts.halo_opt = halo_opt;
-      Operator op({ir::Eq(u.forward(),
-                          sym::solve(u.dt() - u.laplace(), sym::Ex(0),
-                                     u.forward()))},
-                  opts);
-      const auto run = op.apply({.time_m = 0,
-                                 .time_M = kStepsPerIteration - 1,
-                                 .scalars = {{"dt", 1e-4}}});
-      if (comm.rank() == 0) {
-        const auto& stats = run.halo;
-        state.counters["msgs/step"] = static_cast<double>(stats.messages) /
-                                      kStepsPerIteration;
-        state.counters["bytes/step"] =
-            static_cast<double>(stats.bytes_sent) / kStepsPerIteration;
-        // Transport-level evidence for the zero-copy hot path: mean
-        // payload copies per message (1.0 = every delivery rendezvous)
-        // and the unexpected-payload pool's allocation behaviour
-        // (misses stop after warmup, hits take over).
-        state.counters["copies/msg"] = stats.copies_per_message;
-        state.counters["pool_hits"] = static_cast<double>(stats.pool_hits);
-        state.counters["pool_misses"] =
-            static_cast<double>(stats.pool_misses);
-      }
-                 });
-    steps_done += kStepsPerIteration;
-  }
-  state.SetItemsProcessed(steps_done * kEdge * kEdge);
-  state.counters["steps"] = static_cast<double>(steps_done);
-}
-
-void BM_HaloBasic(benchmark::State& state) {
-  run_steps(state, ir::MpiMode::Basic, static_cast<int>(state.range(0)),
-            static_cast<int>(state.range(1)), true);
-}
-void BM_HaloDiagonal(benchmark::State& state) {
-  run_steps(state, ir::MpiMode::Diagonal, static_cast<int>(state.range(0)),
-            static_cast<int>(state.range(1)), true);
-}
-void BM_HaloFull(benchmark::State& state) {
-  run_steps(state, ir::MpiMode::Full, static_cast<int>(state.range(0)),
-            static_cast<int>(state.range(1)), true);
-}
-void BM_HaloBasicNoOpt(benchmark::State& state) {
-  // Ablation: halo-spot drop/merge disabled — redundant exchanges remain.
-  run_steps(state, ir::MpiMode::Basic, static_cast<int>(state.range(0)),
-            static_cast<int>(state.range(1)), false);
-}
 
 // --comm-avoid: wall time of pattern x exchange-depth on a small grid
 // with many ranks, where per-exchange overhead (message posting, pack
@@ -338,38 +271,29 @@ int run_drift(int argc, char** argv) {
 
 }  // namespace
 
-BENCHMARK(BM_HaloBasic)->Args({4, 4})->Args({4, 8})->Args({8, 8});
-BENCHMARK(BM_HaloDiagonal)->Args({4, 4})->Args({4, 8})->Args({8, 8});
-BENCHMARK(BM_HaloFull)->Args({4, 4})->Args({4, 8})->Args({8, 8});
-BENCHMARK(BM_HaloBasicNoOpt)->Args({4, 8});
-
 int main(int argc, char** argv) {
-  // Consume --transport= before google-benchmark sees (and rejects) it.
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--transport=", 12) == 0) {
-      try {
-        g_transport = smpi::transport_from_string(argv[i] + 12);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
-    } else {
-      argv[kept++] = argv[i];
+  const std::string transport =
+      benchutil::arg_value(argc, argv, "transport", "");
+  if (!transport.empty()) {
+    try {
+      g_transport = smpi::transport_from_string(transport);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
     }
   }
-  argc = kept;
   if (benchutil::has_flag(argc, argv, "comm-avoid")) {
     return run_comm_avoid(argc, argv);
   }
   if (benchutil::has_flag(argc, argv, "drift")) {
     return run_drift(argc, argv);
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  std::fputs(
+      "usage: bench_halo_patterns (--comm-avoid | --drift) "
+      "[--transport=threads|process_shm] [--ranks=N] [--edge=N] "
+      "[--steps=N] [--reps=N] [--so=N] [--out=FILE]\n"
+      "  --comm-avoid also takes --backend=interpret|jit; --drift takes "
+      "--band=X [--band-overlap=X] [--band-comm=X] [--band-redundant=X]\n",
+      stderr);
+  return 2;
 }

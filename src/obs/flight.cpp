@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "core/env.h"
+#include "obs/health.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -32,7 +33,7 @@ constexpr int kMaxRanks = 256;
 struct State {
   std::mutex mtx;
   std::map<std::string, std::string> config;
-  std::deque<HealthRec> health;
+  std::deque<health::Sample> health;
   std::string dump_path;
 };
 
@@ -63,11 +64,11 @@ std::string build_bundle(const std::string& reason, int rank,
     w.end_object();
 
     w.key("health").begin_array();
-    for (const HealthRec& h : s.health) {
+    for (const health::Sample& h : s.health) {
       w.begin_object().field("step", h.step).field("field", h.field);
       w.field("field_id", h.field_id).field("nan", h.nan_count);
       w.field("inf", h.inf_count).field("min", h.min).field("max", h.max);
-      w.field("l2", h.l2).field("bad_rank", h.bad_rank).end_object();
+      w.field("l2", h.l2).field("bad_rank", h.first_bad_rank).end_object();
     }
     w.end_array();
   }
@@ -142,10 +143,10 @@ void set_config(const std::string& key, const std::string& json_value) {
   s.config[key] = json_value;
 }
 
-void record_health(const HealthRec& rec) {
+void record_health(const health::Sample& sample) {
   State& s = state();
   const std::lock_guard<std::mutex> lock(s.mtx);
-  s.health.push_back(rec);
+  s.health.push_back(sample);
   while (s.health.size() > kHealthRing) {
     s.health.pop_front();
   }

@@ -25,6 +25,10 @@
 #include <cstdint>
 #include <string>
 
+namespace jitfd::obs::health {
+struct Sample;
+}  // namespace jitfd::obs::health
+
 namespace jitfd::obs::flight {
 
 /// Record one run-configuration entry. `json_value` must be a valid
@@ -32,24 +36,11 @@ namespace jitfd::obs::flight {
 /// verbatim under "config"."key". Last write per key wins.
 void set_config(const std::string& key, const std::string& json_value);
 
-/// One health-ring record. Kept as a compact POD so the per-check cost
-/// is a mutex'd struct copy; JSON formatting happens only at dump
-/// time (health checks run every few steps, dumps once per process).
-struct HealthRec {
-  std::int64_t step = 0;
-  int field_id = -1;
-  char field[24] = {};  ///< Field name (truncated to fit).
-  std::int64_t nan_count = 0;
-  std::int64_t inf_count = 0;
-  double min = 0.0;  ///< Non-finite values export as JSON null.
-  double max = 0.0;
-  double l2 = 0.0;
-  int bad_rank = -1;
-};
-
-/// Append one health sample to the bounded ring: the oldest samples
-/// are dropped beyond kHealthRing.
-void record_health(const HealthRec& rec);
+/// Append one globally-reduced health sample to the bounded ring: the
+/// oldest samples are dropped beyond kHealthRing. JSON formatting
+/// happens only at dump time (health checks run every few steps, dumps
+/// once per process).
+void record_health(const health::Sample& sample);
 inline constexpr std::size_t kHealthRing = 512;
 
 /// Note the step `rank` is currently executing (one relaxed store; the

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
@@ -121,12 +120,7 @@ void Monitor::on_check(int field_id, std::int64_t time,
                {"rank", s.first_bad_rank},
                {"nan", s.nan_count}});
     }
-    flight::HealthRec rec{.step = s.step, .field_id = s.field_id,
-                          .nan_count = s.nan_count, .inf_count = s.inf_count,
-                          .min = s.min, .max = s.max, .l2 = s.l2,
-                          .bad_rank = s.first_bad_rank};
-    std::snprintf(rec.field, sizeof(rec.field), "%s", s.field.c_str());
-    flight::record_health(rec);
+    flight::record_health(s);
   }
 
   if (s.bad() && opts_.on_nan == OnNan::AbortDump) {

@@ -1,7 +1,6 @@
 #include "obs/sentinel.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -114,31 +113,27 @@ SentinelResult sentinel_compare(std::string_view baseline_json,
                           "\": baseline below min-seconds, timing skipped");
     }
 
-    if (opts.check_counters) {
-      bool counters_ok = true;
-      for (const auto& [key, want] : base.counters) {
-        const auto cit = f.counters.find(key);
-        if (cit == f.counters.end()) {
-          res.failures.push_back("series \"" + name +
-                                 "\" lost counter \"" + key + "\"");
-          counters_ok = false;
-          continue;
-        }
-        const double got = cit->second;
-        const double tol =
-            std::abs(want) * opts.counter_tolerance_pct / 100.0;
-        if (std::abs(got - want) > tol) {
-          res.failures.push_back("series \"" + name + "\" counter \"" + key +
-                                 "\" drifted: " + fmt(got) + " vs baseline " +
-                                 fmt(want));
-          counters_ok = false;
-        }
+    bool counters_ok = true;
+    for (const auto& [key, want] : base.counters) {
+      const auto cit = f.counters.find(key);
+      if (cit == f.counters.end()) {
+        res.failures.push_back("series \"" + name +
+                               "\" lost counter \"" + key + "\"");
+        counters_ok = false;
+        continue;
       }
-      if (counters_ok && !base.counters.empty()) {
-        res.notes.push_back("series \"" + name + "\": " +
-                            std::to_string(base.counters.size()) +
-                            " counters match");
+      const double got = cit->second;
+      if (got != want) {
+        res.failures.push_back("series \"" + name + "\" counter \"" + key +
+                               "\" drifted: " + fmt(got) + " vs baseline " +
+                               fmt(want));
+        counters_ok = false;
       }
+    }
+    if (counters_ok && !base.counters.empty()) {
+      res.notes.push_back("series \"" + name + "\": " +
+                          std::to_string(base.counters.size()) +
+                          " counters match");
     }
 
     // Drift gates: the committed band is the perfmodel contract; the

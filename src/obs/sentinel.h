@@ -14,7 +14,7 @@
 //    check (too fast to time reliably) but still check counters;
 //  * machine-independent counters (any extra numeric field next to
 //    median_seconds: message counts, bytes, exchanges) must match
-//    within counter_tolerance_pct — 0 means exactly;
+//    exactly;
 //  * drift gates (an optional "drift" object per series: metric ->
 //    {value, band}) check the fresh |measured - predicted| drift of a
 //    perfmodel metric against the band committed in the BASELINE — the
@@ -37,8 +37,6 @@ struct SentinelOptions {
   double tolerance_pct = 25.0;  ///< Base allowance on median_seconds.
   double min_seconds = 0.0;     ///< Baseline medians below this skip timing.
   double scale_fresh = 1.0;     ///< Multiplier on fresh medians (self-test).
-  bool check_counters = true;
-  double counter_tolerance_pct = 0.0;
   /// Added to every fresh drift value (injected-regression self-test,
   /// the drift analogue of scale_fresh).
   double drift_shift = 0.0;

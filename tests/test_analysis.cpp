@@ -482,7 +482,8 @@ TEST(Sentinel, MissingSeriesAndMalformedInputs) {
 
 TEST(Sentinel, MinSecondsSkipsTimingButCountersStillGate) {
   // Sub-threshold medians are too fast to time reliably: a 100x
-  // "regression" is ignored, but a counter drift still fails.
+  // "regression" is ignored, but a counter drift or a lost counter
+  // still fails.
   obs::SentinelOptions opts;
   opts.min_seconds = 0.01;
   EXPECT_TRUE(obs::sentinel_compare(mini_report(1e-4, 0.0, 42),
@@ -493,27 +494,12 @@ TEST(Sentinel, MinSecondsSkipsTimingButCountersStillGate) {
   EXPECT_FALSE(drift.ok);
   ASSERT_EQ(drift.failures.size(), 1U);
   EXPECT_NE(drift.failures[0].find("drifted"), std::string::npos);
-}
-
-TEST(Sentinel, CounterToleranceAndOptOut) {
-  // Exact by default; a relative tolerance admits the drift; opting out
-  // ignores counters entirely.
-  const std::string base = mini_report(0.1, 0.0, 100);
-  const std::string fresh = mini_report(0.1, 0.0, 130);
-  EXPECT_FALSE(obs::sentinel_compare(base, fresh).ok);
-  obs::SentinelOptions tol;
-  tol.counter_tolerance_pct = 50.0;
-  EXPECT_TRUE(obs::sentinel_compare(base, fresh, tol).ok);
-  obs::SentinelOptions off;
-  off.check_counters = false;
-  EXPECT_TRUE(obs::sentinel_compare(base, fresh, off).ok);
-
-  // A counter missing from the fresh report fails regardless.
-  const std::string lost =
-      R"({"series": [{"name": "s1", "median_seconds": 0.1}]})";
-  const obs::SentinelResult res = obs::sentinel_compare(base, lost, tol);
-  EXPECT_FALSE(res.ok);
-  EXPECT_NE(res.failures[0].find("lost counter"), std::string::npos);
+  const obs::SentinelResult lost = obs::sentinel_compare(
+      mini_report(1e-4, 0.0, 42),
+      R"({"series": [{"name": "s1", "median_seconds": 1e-4}]})", opts);
+  EXPECT_FALSE(lost.ok);
+  ASSERT_EQ(lost.failures.size(), 1U);
+  EXPECT_NE(lost.failures[0].find("lost counter"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

@@ -12,21 +12,26 @@
 #include <omp.h>
 #endif
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "codegen/jit.h"
 #include "codegen/sha256.h"
 #include "core/operator.h"
 #include "grid/function.h"
 #include "models/acoustic.h"
+#include "models/elastic.h"
 #include "models/tti.h"
+#include "models/viscoelastic.h"
 #include "obs/flight.h"
 #include "obs/health.h"
 #include "smpi/runtime.h"
@@ -261,6 +266,112 @@ TEST(CodegenJit, JitMatchesInterpreterOnDiffusion) {
     ASSERT_NEAR(interp[i], jit[i], 1e-6) << "at " << i;
   }
 }
+
+// Every propagator's generated kernel against the interpreter, on the
+// plain schedule, with the health reductions firing every 8 steps, and
+// cache-blocked on a tile that does not divide the grid.
+enum class Schedule { Plain, Health8, Tile16 };
+
+using ModelCase = std::tuple<std::string, Schedule>;
+
+std::unique_ptr<jitfd::models::WaveModel> make_model(const std::string& name,
+                                                     const Grid& g) {
+  if (name == "acoustic_so4") {
+    return std::make_unique<jitfd::models::AcousticModel>(g, 4);
+  }
+  if (name == "acoustic_so8") {
+    return std::make_unique<jitfd::models::AcousticModel>(g, 8);
+  }
+  if (name == "tti_so4") {
+    return std::make_unique<jitfd::models::TtiModel>(g, 4);
+  }
+  if (name == "elastic_so4") {
+    return std::make_unique<jitfd::models::ElasticModel>(g, 4);
+  }
+  return std::make_unique<jitfd::models::ViscoelasticModel>(g, 4);
+}
+
+std::string model_case_name(const ::testing::TestParamInfo<ModelCase>& info) {
+  static const char* const kSchedule[] = {"plain", "health8", "tile16"};
+  return std::get<0>(info.param) + "_" +
+         kSchedule[static_cast<int>(std::get<1>(info.param))];
+}
+
+class CodegenJitModels : public ::testing::TestWithParam<ModelCase> {};
+
+TEST_P(CodegenJitModels, MatchInterpreter) {
+  if (!have_cc()) {
+    GTEST_SKIP() << "no C compiler available";
+  }
+  const auto& [model_name, schedule] = GetParam();
+  constexpr std::int64_t n = 40;
+  constexpr std::int64_t steps = 9;  // Health checks at steps 0 and 8.
+  ir::CompileOptions opts;
+  if (schedule == Schedule::Tile16) {
+    opts.tile = {16, 0};
+  }
+  const std::int64_t interval = schedule == Schedule::Health8 ? 8 : 0;
+  struct Result {
+    std::vector<std::vector<float>> buffers;
+    double energy = 0.0;
+    std::int64_t checks = 0;
+  };
+  auto run = [&](Operator::Backend backend) {
+    const Grid g({n, n}, {1.0, 1.0});
+    const auto model = make_model(model_name, g);
+    model->wavefield().fill_global_box(
+        0, std::vector<std::int64_t>{n / 4, n / 4},
+        std::vector<std::int64_t>{n / 2, n / 2}, 1e-3F);
+    const auto op = model->make_operator(opts);
+    op->set_default_backend(backend);
+    const auto summary =
+        op->apply({.time_m = 0,
+                   .time_M = steps - 1,
+                   .scalars = model->scalars(model->critical_dt()),
+                   .health_interval = interval});
+    EXPECT_EQ(summary.backend, backend);
+    EXPECT_TRUE(summary.health.healthy());
+    Result r;
+    for (int b = 0; b < model->wavefield().time_buffers(); ++b) {
+      r.buffers.push_back(model->wavefield().gather(b));
+    }
+    r.energy = model->field_energy(steps - 1);
+    r.checks = summary.health.checks;
+    return r;
+  };
+  const Result interp = run(Operator::Backend::Interpret);
+  const Result jit = run(Operator::Backend::Jit);
+
+  EXPECT_EQ(jit.checks, interp.checks);
+#ifndef JITFD_OBS_DISABLED  // Otherwise lowering emits no health checks.
+  EXPECT_EQ(interp.checks > 0, interval > 0);
+#endif
+  ASSERT_GT(interp.energy, 0.0);
+  EXPECT_NEAR(jit.energy, interp.energy, 1e-5 * interp.energy);
+  ASSERT_EQ(jit.buffers.size(), interp.buffers.size());
+  float peak = 0.0F;
+  for (const auto& buffer : interp.buffers) {
+    for (const float v : buffer) {
+      peak = std::max(peak, std::abs(v));
+    }
+  }
+  for (std::size_t b = 0; b < interp.buffers.size(); ++b) {
+    ASSERT_EQ(jit.buffers[b].size(), interp.buffers[b].size());
+    for (std::size_t i = 0; i < interp.buffers[b].size(); ++i) {
+      ASSERT_NEAR(jit.buffers[b][i], interp.buffers[b][i], 1e-5F * peak)
+          << "buffer " << b << " at " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, CodegenJitModels,
+    ::testing::Combine(::testing::Values("acoustic_so4", "acoustic_so8",
+                                         "tti_so4", "elastic_so4",
+                                         "viscoelastic_so4"),
+                       ::testing::Values(Schedule::Plain, Schedule::Health8,
+                                         Schedule::Tile16)),
+    model_case_name);
 
 TEST(CodegenJit, JitRunsDistributedBasicMode) {
   if (!have_cc()) {

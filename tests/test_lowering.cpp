@@ -6,6 +6,7 @@
 #include <functional>
 #include <set>
 
+#include "core/operator.h"
 #include "grid/function.h"
 #include "ir/lower.h"
 #include "models/acoustic.h"
@@ -310,6 +311,16 @@ TEST(Lowering, RedundantExchangeIsDropped) {
     ir::lower_to_iet({eq1, eq2}, g, opts, {}, info2);
     ASSERT_EQ(info2.spots.size(), 2U);
     EXPECT_EQ(info2.spots[1].needs.size(), 2U);
+
+    // The running exchange on this 2x2 corner rank: u's two faces plus
+    // a's one x-face per step with the drop, u's faces again without it.
+    for (const bool halo_opt : {true, false}) {
+      opts.halo_opt = halo_opt;
+      jitfd::core::Operator op({eq1, eq2}, opts);
+      const auto run =
+          op.apply({.time_m = 0, .time_M = 3, .scalars = {{"dt", 1e-4}}});
+      EXPECT_EQ(run.halo.messages, (halo_opt ? 3U : 5U) * 4U) << halo_opt;
+    }
   });
 }
 

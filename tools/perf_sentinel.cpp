@@ -4,14 +4,13 @@
 //
 //   perf_sentinel --baseline=FILE --fresh=FILE
 //                 [--tolerance-pct=25] [--min-seconds=0]
-//                 [--counter-tolerance-pct=0] [--no-counters]
 //                 [--scale-fresh=1.0] [--drift-shift=0.0]
 //
 // Per-series rules live in obs/sentinel.h: medians may exceed the
 // baseline by tolerance-pct plus the larger committed spread_pct;
 // series faster than min-seconds skip the timing check; counters must
-// match within counter-tolerance-pct (exactly, by default); perfmodel
-// drift gates must stay inside the band committed in the baseline.
+// match exactly; perfmodel drift gates must stay inside the band
+// committed in the baseline.
 // --scale-fresh multiplies the fresh medians — CI uses 1.2 to prove
 // the gate trips on an injected 20% slowdown. --drift-shift adds to
 // the fresh drift values, the equivalent self-test for drift gates.
@@ -38,16 +37,6 @@ std::string arg_value(int argc, char** argv, const char* key,
   return fallback;
 }
 
-bool has_flag(int argc, char** argv, const char* flag) {
-  const std::string want = std::string("--") + flag;
-  for (int i = 1; i < argc; ++i) {
-    if (want == argv[i]) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -56,7 +45,6 @@ int main(int argc, char** argv) {
   if (baseline_path.empty() || fresh_path.empty()) {
     std::cerr << "usage: perf_sentinel --baseline=FILE --fresh=FILE "
                  "[--tolerance-pct=N] [--min-seconds=X] "
-                 "[--counter-tolerance-pct=N] [--no-counters] "
                  "[--scale-fresh=X] [--drift-shift=X]\n";
     return 2;
   }
@@ -66,13 +54,10 @@ int main(int argc, char** argv) {
       std::atof(arg_value(argc, argv, "tolerance-pct", "25").c_str());
   opts.min_seconds =
       std::atof(arg_value(argc, argv, "min-seconds", "0").c_str());
-  opts.counter_tolerance_pct =
-      std::atof(arg_value(argc, argv, "counter-tolerance-pct", "0").c_str());
   opts.scale_fresh =
       std::atof(arg_value(argc, argv, "scale-fresh", "1").c_str());
   opts.drift_shift =
       std::atof(arg_value(argc, argv, "drift-shift", "0").c_str());
-  opts.check_counters = !has_flag(argc, argv, "no-counters");
 
   std::string baseline_json;
   std::string fresh_json;
